@@ -3,7 +3,8 @@
 A pair (x, y) solves the a = 1 system iff F(x+1) - F(x) = F(y+1) - F(y), so
 grouping x by that shift-difference turns the whole b-profile into per-group
 pair-difference histograms.  The group of x with zero difference has about
-(q+1)/4 members for locally-APN inputs and dominates the cost.
+(q+1)/4 members for locally-APN inputs; its histogram is an autocorrelation
+over the additive group, computed by FFT in O(q log q) rather than O(s^2).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diff import _reduced_index
-from .errors import FFBinomError, UnsupportedUError, ZeroShiftError
+from .errors import FFBinomError, InvariantError, UnsupportedUError, ZeroShiftError
 from .family import BinomialSpec, eval_table
 from .gf import Elt, FieldSpec
 
@@ -62,15 +63,13 @@ def beta_row(field: FieldSpec, spec: BinomialSpec, b: Elt) -> int:
     return int(cnt[idx_c[hit]].sum())
 
 
-_BATCH_SIZE_LIMIT = 64
-
-
 def beta_profile(field: FieldSpec, spec: BinomialSpec, a: Elt = 1) -> np.ndarray:
     """beta(a, b) for every b at once via the shift-difference grouping.
 
-    Classes of equal size are histogrammed together; only the few large
-    classes (the zero-difference one dominates) go through the chunked
-    pairwise path.
+    Classes of equal size s with s*s <= q are histogrammed together, pair by
+    pair, at O(s^2) each.  Larger classes (the zero-difference one
+    dominates) go one by one to the O(q log q) FFT autocorrelation of
+    `FieldSpec.outer_diff_hist`.
     """
     if a == 0:
         raise ZeroShiftError("a must be nonzero")
@@ -92,7 +91,7 @@ def beta_profile(field: FieldSpec, spec: BinomialSpec, a: Elt = 1) -> np.ndarray
             continue
         class_starts = starts[sizes == s]
         rows = fv[order[class_starts[:, None] + np.arange(s, dtype=np.int64)[None, :]]]
-        if s <= _BATCH_SIZE_LIMIT:
+        if s * s <= field.q:
             profile += _within_row_diff_hist(field, rows)
         else:
             for row in rows:
@@ -123,7 +122,8 @@ def boom_spectrum(field: FieldSpec, spec: BinomialSpec) -> BoomSpectrum:
     profile = beta_profile(field, spec)
     counts = np.bincount(profile[1:])
     nu = {int(i): int(c) for i, c in enumerate(counts) if c}
-    assert sum(nu.values()) == field.q - 1
+    if sum(nu.values()) != field.q - 1:
+        raise InvariantError(f"boomerang spectrum sums to {sum(nu.values())}, not q - 1 = {field.q - 1}")
     return BoomSpectrum(nu, int(profile[1:].max(initial=0)))
 
 

@@ -51,3 +51,7 @@ class NotApplicableError(FFBinomError):
 
 class BadRangeError(FFBinomError):
     """Invalid exponent scan range."""
+
+
+class InvariantError(FFBinomError):
+    """A result failed an internal consistency check."""

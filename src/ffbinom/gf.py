@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BadDegreeError, EvenCharacteristicError, FFBinomError, NonPrimeError
+from .errors import BadDegreeError, EvenCharacteristicError, FFBinomError, InvariantError, NonPrimeError
 
 Elt = int
 
@@ -470,25 +470,29 @@ class FieldSpec:
     def outer_diff_hist(self, values: np.ndarray) -> np.ndarray:
         """Histogram of v_i - v_j over all ordered pairs of an encoded array.
 
-        Returns a length-q count array indexed by the encoded difference.
-        The computation is chunked so memory stays bounded for large inputs.
+        Returns a length-q count array indexed by the encoded difference, in
+        O(q log q) whatever the length of `values`.  The histogram is the
+        autocorrelation of the multiplicity array of `values` on the additive
+        group (Z/p)^n: in C order the base-p encoding is exactly an array of
+        shape (p,)*n, on which field addition is a cyclic shift per axis.
+        Rounding is checked: a bin off an integer by more than 0.25, or a
+        total other than len(values)**2, raises InvariantError.
         """
-        hist = np.zeros(self.q, dtype=np.int64)
         m = len(values)
         if m == 0:
-            return hist
-        if self.n == 1:
-            rows = max(1, 4_000_000 // m)
-            for i in range(0, m, rows):
-                d = (values[i : i + rows, None] - values[None, :]) % self.q
-                hist += np.bincount(d.ravel(), minlength=self.q)
-        else:
-            dv = self._digits[values]
-            rows = max(1, 4_000_000 // (m * self.n))
-            for i in range(0, m, rows):
-                d = (dv[i : i + rows, None, :] - dv[None, :, :]) % self.p
-                enc = d.reshape(-1, self.n) @ self._pp
-                hist += np.bincount(enc, minlength=self.q)
+            return np.zeros(self.q, dtype=np.int64)
+        shape = (self.p,) * self.n
+        axes = tuple(range(self.n))
+        counts = np.bincount(values, minlength=self.q).reshape(shape)
+        spec = np.fft.rfftn(counts, axes=axes)
+        power = spec.real**2 + spec.imag**2
+        exact = np.fft.irfftn(power, s=shape, axes=axes).ravel()
+        hist = np.rint(exact)
+        if np.abs(exact - hist).max() > 0.25:
+            raise InvariantError(f"pair-difference histogram off an integer by more than 0.25 on q = {self.q}")
+        hist = hist.astype(np.int64)
+        if int(hist.sum()) != m * m:
+            raise InvariantError(f"pair-difference histogram sums to {int(hist.sum())}, not {m * m}")
         return hist
 
 

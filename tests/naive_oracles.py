@@ -7,6 +7,8 @@ field variants below use nothing but Python integers.
 
 from collections import Counter
 
+import numpy as np
+
 from ffbinom.family import BinomialSpec
 from ffbinom.gf import FieldSpec
 
@@ -34,6 +36,31 @@ def naive_delta_row(field: FieldSpec, spec: BinomialSpec) -> Counter:
     for x in field.elements():
         row[field.sub(fv[field.add(x, 1)], fv[x])] += 1
     return row
+
+
+def pairwise_diff_hist(field: FieldSpec, values: np.ndarray) -> np.ndarray:
+    """Histogram of v_i - v_j with every ordered pair formed explicitly.
+
+    Digit-wise subtraction in row chunks, so memory stays bounded; the
+    reference for the FFT kernel FieldSpec.outer_diff_hist.
+    """
+    hist = np.zeros(field.q, dtype=np.int64)
+    m = len(values)
+    if m == 0:
+        return hist
+    if field.n == 1:
+        rows = max(1, 4_000_000 // m)
+        for i in range(0, m, rows):
+            d = (values[i : i + rows, None] - values[None, :]) % field.q
+            hist += np.bincount(d.ravel(), minlength=field.q)
+    else:
+        dv = field._digits[values]
+        rows = max(1, 4_000_000 // (m * field.n))
+        for i in range(0, m, rows):
+            d = (dv[i : i + rows, None, :] - dv[None, :, :]) % field.p
+            enc = d.reshape(-1, field.n) @ field._pp
+            hist += np.bincount(enc, minlength=field.q)
+    return hist
 
 
 def naive_beta_count(field: FieldSpec, spec: BinomialSpec, a: int, b: int) -> int:

@@ -4,7 +4,7 @@ import pytest
 from ffbinom.boom import beta_ab, beta_profile, beta_row, bijkl_counts, boom_spectrum
 from ffbinom.errors import FFBinomError, UnsupportedUError, ZeroShiftError
 from ffbinom.family import BinomialSpec
-from ffbinom.gf import make_field
+from ffbinom.gf import FieldSpec, make_field
 
 from naive_oracles import naive_beta_count
 
@@ -17,11 +17,33 @@ def test_beta_row_matches_naive_pair_count(p, n, r):
         assert beta_row(f, spec, b) == naive_beta_count(f, spec, 1, b)
 
 
-@pytest.mark.parametrize("p,n,r", [(11, 1, 3), (3, 3, 2), (23, 1, 15)])
-def test_beta_profile_matches_beta_row(p, n, r):
+@pytest.mark.parametrize(
+    "p,n,r,u,fft_classes",
+    [
+        pytest.param(11, 1, 3, 1, 0, id="11-1-3"),
+        pytest.param(3, 3, 2, 1, 1, id="3-3-2"),
+        pytest.param(23, 1, 15, 1, 1, id="23-1-15"),
+        # u = -1 on both sides of the s*s <= q routing rule
+        pytest.param(11, 1, 3, 10, 0, id="11-1-3-uminus1"),
+        pytest.param(7, 2, 2, 6, 1, id="7-2-2-uminus1"),
+        pytest.param(7, 2, 4, 6, 3, id="7-2-4-uminus1"),
+        pytest.param(3, 5, 2, 2, 1, id="3-5-2-uminus1"),
+    ],
+)
+def test_beta_profile_matches_beta_row(monkeypatch, p, n, r, u, fft_classes):
     f = make_field(p, n)
-    spec = BinomialSpec(r, 1)
+    spec = BinomialSpec(r, u)
+    sizes = []
+    fft = FieldSpec.outer_diff_hist
+
+    def spy(self, values):
+        sizes.append(len(values))
+        return fft(self, values)
+
+    monkeypatch.setattr(FieldSpec, "outer_diff_hist", spy)
     profile = beta_profile(f, spec)
+    assert len(sizes) == fft_classes
+    assert all(s * s > f.q for s in sizes)
     for b in f.elements():
         assert profile[b] == beta_row(f, spec, b)
 

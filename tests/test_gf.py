@@ -3,10 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from ffbinom.errors import BadDegreeError, EvenCharacteristicError, FFBinomError, NonPrimeError
+from ffbinom.errors import BadDegreeError, EvenCharacteristicError, FFBinomError, InvariantError, NonPrimeError
+from ffbinom.family import BinomialSpec, eval_table
 from ffbinom.gf import FieldSpec, SijClass, is_prime, make_field, prime_power
 
-from naive_oracles import naive_chi
+from naive_oracles import naive_chi, pairwise_diff_hist
 
 
 def test_make_field_basic():
@@ -256,4 +257,43 @@ def test_outer_diff_hist():
             for b in vals:
                 expected[f.sub(int(a), int(b))] += 1
         assert (hist == expected).all()
-        assert f.outer_diff_hist(np.array([], dtype=np.int64)).sum() == 0
+        assert (hist == pairwise_diff_hist(f, vals)).all()
+        empty = f.outer_diff_hist(np.array([], dtype=np.int64))
+        assert empty.shape == (f.q,) and empty.dtype == np.int64 and empty.sum() == 0
+    # the FFT kernel against the pairwise reference, with repeated values
+    rng = np.random.default_rng(7)
+    for p, n in [(1019, 1), (7, 3), (3, 6), (13, 2)]:
+        f = make_field(p, n)
+        for m in (1, 2, 40, f.q // 4):
+            vals = rng.integers(0, f.q, size=m)
+            vals[: m // 2] = vals[0]
+            hist = f.outer_diff_hist(vals)
+            assert hist.dtype == np.int64
+            assert (hist == pairwise_diff_hist(f, vals)).all()
+
+
+def test_outer_diff_hist_largest_boomerang_class():
+    # the zero-difference class of x^2 * (1 - chi(x)) on F_{3^7}: 547 members
+    f = make_field(3, 7)
+    fv = eval_table(f, BinomialSpec(2, f.minus_one))
+    d = f.sub_arrays(fv[f.succ_table], fv)
+    keys, sizes = np.unique(d, return_counts=True)
+    vals = fv[d == keys[sizes.argmax()]]
+    assert len(vals) == (f.q + 1) // 4
+    assert (f.outer_diff_hist(vals) == pairwise_diff_hist(f, vals)).all()
+
+
+@pytest.mark.parametrize("offset", [0.5, 1.0])
+def test_outer_diff_hist_guards_rounding(monkeypatch, offset):
+    # a bin off an integer, or an integer-valued bin that breaks the total
+    f = make_field(3, 3)
+    irfftn = np.fft.irfftn
+
+    def corrupted(*args, **kwargs):
+        out = irfftn(*args, **kwargs)
+        out.flat[1] += offset
+        return out
+
+    monkeypatch.setattr(np.fft, "irfftn", corrupted)
+    with pytest.raises(InvariantError):
+        f.outer_diff_hist(np.array([1, 2, 2, 5], dtype=np.int64))
