@@ -69,7 +69,9 @@ def beta_profile(field: FieldSpec, spec: BinomialSpec, a: Elt = 1) -> np.ndarray
     Classes of equal size s with s*s <= q are histogrammed together, pair by
     pair, at O(s^2) each.  Larger classes (the zero-difference one
     dominates) go one by one to the O(q log q) FFT autocorrelation of
-    `FieldSpec.outer_diff_hist`.
+    `FieldSpec.outer_diff_hist`.  Each ordered pair within a class lands in
+    exactly one bin, so the profile must sum to sum_c delta(a, c)^2, the sum
+    of the squared class sizes; InvariantError is raised otherwise.
     """
     if a == 0:
         raise ZeroShiftError("a must be nonzero")
@@ -96,6 +98,9 @@ def beta_profile(field: FieldSpec, spec: BinomialSpec, a: Elt = 1) -> np.ndarray
         else:
             for row in rows:
                 profile += field.outer_diff_hist(row)
+    pairs = int((sizes * sizes).sum())
+    if int(profile.sum()) != pairs:
+        raise InvariantError(f"boomerang profile sums to {int(profile.sum())}, not {pairs} = sum of squared class sizes")
     return profile
 
 
@@ -118,12 +123,10 @@ def _within_row_diff_hist(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
 
 
 def boom_spectrum(field: FieldSpec, spec: BinomialSpec) -> BoomSpectrum:
-    """Spectrum over b != 0, with the sum identity checked."""
+    """Spectrum over b != 0; beta_profile checks the sum identity."""
     profile = beta_profile(field, spec)
     counts = np.bincount(profile[1:])
     nu = {int(i): int(c) for i, c in enumerate(counts) if c}
-    if sum(nu.values()) != field.q - 1:
-        raise InvariantError(f"boomerang spectrum sums to {sum(nu.values())}, not q - 1 = {field.q - 1}")
     return BoomSpectrum(nu, int(profile[1:].max(initial=0)))
 
 

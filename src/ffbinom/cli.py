@@ -14,9 +14,7 @@ import sys
 from . import boom, charsum, diff, family, predict, scan
 from .errors import FFBinomError
 from .family import BinomialSpec
-from .gf import make_field, prime_power
-
-_MAX_ORDER = 1 << 63
+from .gf import _MAX_ORDER, make_field, prime_power
 
 
 class _Parser(argparse.ArgumentParser):
@@ -127,9 +125,15 @@ def _cmd_spectrum(parser, args) -> int:
     spec = BinomialSpec(args.r, args.u % fld.p if args.u < 0 else args.u)
     if spec.u >= fld.q:
         parser.error(f"u = {spec.u} is not an element of F_{fld.q}")
+    try:
+        if args.kind == "diff":
+            spectrum = diff.diff_spectrum(fld, spec)
+            report = diff.locally_apn_check(fld, spec)
+        else:
+            spectrum = boom.boom_spectrum(fld, spec)
+    except FFBinomError as exc:
+        parser.error(str(exc))
     if args.kind == "diff":
-        spectrum = diff.diff_spectrum(fld, spec)
-        report = diff.locally_apn_check(fld, spec)
         _print_json(
             {
                 "q": fld.q,
@@ -142,7 +146,6 @@ def _cmd_spectrum(parser, args) -> int:
             }
         )
     else:
-        spectrum = boom.boom_spectrum(fld, spec)
         _print_json(
             {
                 "q": fld.q,

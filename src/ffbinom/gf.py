@@ -5,7 +5,13 @@ Elements are canonical integers in [0, q): the coefficient vector
 sum(c_i * p^i).  For q up to TABLE_LIMIT a discrete-log table over a fixed
 generator is built at construction, so that powering, multiplication and the
 quadratic character are table lookups; all bulk operations are vectorized
-over numpy arrays of encoded elements.
+over numpy arrays of encoded elements and need those tables.
+
+The exp table is built by doubling: exp[m:2m] = exp[:m] * g^m, about log2(q)
+numpy passes.  On F_p that is a product mod p; on F_{p^n} multiplication by
+the constant g^m is an F_p-linear map, applied as an n x n matrix mod p to
+the base-p digit rows.  The log table is one scatter of the exp table.
+Larger fields keep exact scalar arithmetic through the table-free routines.
 """
 
 from __future__ import annotations
@@ -21,9 +27,13 @@ from .errors import BadDegreeError, EvenCharacteristicError, FFBinomError, Invar
 
 Elt = int
 
-# Above this order no exp/log tables are built and bulk helpers fall back to
-# scalar loops.
+# Above this order no exp/log tables are built: scalar arithmetic still works,
+# bulk helpers raise FFBinomError.
 TABLE_LIMIT = 1 << 24
+
+# Rows per numpy pass of the exp-table build: its temporaries stay
+# O(_BUILD_CHUNK * n) whatever q is, and 2^16 rows measured faster than 2^18.
+_BUILD_CHUNK = 1 << 16
 
 _MAX_ORDER = 1 << 63
 
@@ -181,9 +191,11 @@ def smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree n over F_p.
 
     Coefficients are compared low-degree-first, so the result is
-    deterministic across runs and implementations.
+    deterministic across runs and implementations.  For n > 1 the search
+    starts at constant term 1: x divides every candidate with c_0 = 0.
     """
-    for tail in itertools.product(range(p), repeat=n):
+    c0 = range(1, p) if n > 1 else range(p)
+    for tail in itertools.product(c0, *[range(p)] * (n - 1)):
         f = list(tail) + [1]
         if is_irreducible(f, p):
             return tuple(f)
@@ -268,15 +280,27 @@ class FieldSpec:
         raise FFBinomError("no generator found")  # unreachable
 
     def _build_tables(self) -> None:
-        q = self.q
+        p, n, q = self.p, self.n, self.q
         g = self._find_generator()
         exp = np.empty(q - 1, dtype=np.int64)
+        exp[0] = 1
+        m, gm = 1, g  # exp[:m] holds g^0 .. g^(m-1), and gm = g^m
+        while m < q - 1:
+            k = min(m, q - 1 - m)
+            if n > 1:
+                # x -> x * g^m is F_p-linear; row j of its matrix is g^m * X^j
+                mat = np.array([self.decode(self._raw_mul(gm, p**j)) for j in range(n)], dtype=np.int64)
+            for lo in range(0, k, _BUILD_CHUNK):
+                hi = min(k, lo + _BUILD_CHUNK)
+                if n == 1:
+                    exp[m + lo : m + hi] = exp[lo:hi] * gm % p
+                else:
+                    digits = exp[lo:hi, None] // self._pp % p
+                    exp[m + lo : m + hi] = digits @ mat % p @ self._pp
+            gm = self._raw_mul(gm, gm)
+            m += k
         log = np.full(q, -1, dtype=np.int64)
-        a = 1
-        for i in range(q - 1):
-            exp[i] = a
-            log[a] = i
-            a = self._raw_mul(a, g)
+        log[exp] = np.arange(q - 1, dtype=np.int64)
         chi = np.zeros(q, dtype=np.int8)
         chi[exp[0::2]] = 1
         chi[exp[1::2]] = -1
@@ -379,24 +403,17 @@ class FieldSpec:
 
     def sij_sizes(self) -> dict[SijClass, int]:
         """Exhaustive class counts over the whole field."""
-        if self._chi is not None:
-            cx = self._chi
-            cx1 = self._chi[self.succ_table]
-            sizes = {
-                SijClass.S00: int(np.count_nonzero((cx == 1) & (cx1 == 1))),
-                SijClass.S01: int(np.count_nonzero((cx == 1) & (cx1 == -1))),
-                SijClass.S10: int(np.count_nonzero((cx == -1) & (cx1 == 1))),
-                SijClass.S11: int(np.count_nonzero((cx == -1) & (cx1 == -1))),
-            }
-        else:
-            sizes = {c: 0 for c in (SijClass.S00, SijClass.S01, SijClass.S10, SijClass.S11)}
-            for x in self.elements():
-                c = self.sij_classify(x)
-                if c in sizes:
-                    sizes[c] += 1
-        sizes[SijClass.ZERO] = 1
-        sizes[SijClass.MINUS_ONE] = 1
-        return sizes
+        self._require_tables()
+        cx = self._chi
+        cx1 = self._chi[self.succ_table]
+        return {
+            SijClass.S00: int(np.count_nonzero((cx == 1) & (cx1 == 1))),
+            SijClass.S01: int(np.count_nonzero((cx == 1) & (cx1 == -1))),
+            SijClass.S10: int(np.count_nonzero((cx == -1) & (cx1 == 1))),
+            SijClass.S11: int(np.count_nonzero((cx == -1) & (cx1 == -1))),
+            SijClass.ZERO: 1,
+            SijClass.MINUS_ONE: 1,
+        }
 
     # -- vectorized helpers ---------------------------------------------------
 
@@ -424,8 +441,7 @@ class FieldSpec:
     @property
     def chi_table(self) -> np.ndarray:
         """Quadratic character of every element as an int8 array."""
-        if self._chi is None:
-            raise FFBinomError(f"no tables for q = {self.q} > {TABLE_LIMIT}")
+        self._require_tables()
         return self._chi
 
     def _require_tables(self) -> None:
@@ -458,8 +474,7 @@ class FieldSpec:
         """Table of x^e over all x, with the pow() conventions at x = 0."""
         if e < 0:
             raise FFBinomError("exponent must be nonnegative")
-        if self._exp is None:
-            return np.array([self.pow(x, e) for x in self.elements()], dtype=np.int64)
+        self._require_tables()
         er = e % (self.q - 1)
         out = np.empty(self.q, dtype=np.int64)
         out[0] = 1 if e == 0 else 0

@@ -19,6 +19,25 @@ def naive_chi(field: FieldSpec, x: int) -> int:
     return 1 if field._pow_slow(x, (field.q - 1) // 2) == 1 else -1
 
 
+def sequential_tables(field: FieldSpec) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Generator, exp, log and chi from q - 1 sequential _raw_mul steps.
+
+    The reference for the doubling build in FieldSpec._build_tables.
+    """
+    g = field._find_generator()
+    exp = np.empty(field.q - 1, dtype=np.int64)
+    log = np.full(field.q, -1, dtype=np.int64)
+    a = 1
+    for i in range(field.q - 1):
+        exp[i] = a
+        log[a] = i
+        a = field._raw_mul(a, g)
+    chi = np.zeros(field.q, dtype=np.int8)
+    chi[exp[0::2]] = 1
+    chi[exp[1::2]] = -1
+    return g, exp, log, chi
+
+
 def naive_eval(field: FieldSpec, spec: BinomialSpec, x: int) -> int:
     if x == 0:
         return 0

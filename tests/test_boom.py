@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from ffbinom import boom
 from ffbinom.boom import beta_ab, beta_profile, beta_row, bijkl_counts, boom_spectrum
-from ffbinom.errors import FFBinomError, UnsupportedUError, ZeroShiftError
+from ffbinom.errors import FFBinomError, InvariantError, UnsupportedUError, ZeroShiftError
 from ffbinom.family import BinomialSpec
 from ffbinom.gf import FieldSpec, make_field
 
@@ -77,6 +78,20 @@ def test_boom_spectrum_sum_identity():
         f = make_field(p, n)
         spectrum = boom_spectrum(f, BinomialSpec(r, 1))
         assert sum(spectrum.nu.values()) == f.q - 1
+
+
+def test_beta_profile_guards_pair_total(monkeypatch):
+    # one pair too many from the batched small-class histograms
+    within = boom._within_row_diff_hist
+
+    def corrupted(field, rows):
+        hist = within(field, rows)
+        hist[1] += 1
+        return hist
+
+    monkeypatch.setattr(boom, "_within_row_diff_hist", corrupted)
+    with pytest.raises(InvariantError):
+        boom_spectrum(make_field(1019, 1), BinomialSpec(5, 3))
 
 
 def test_beta_upper_bound_f11_cube():

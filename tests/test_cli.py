@@ -143,6 +143,20 @@ def test_overflow_rejected_at_parse(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["field", "info", "--p", "3", "--n", "41"])
     assert exc.value.code == 1
+    assert "field order 3^41 exceeds 2^63" in capsys.readouterr().err
+
+
+def test_bulk_ops_above_table_limit_exit_1(capsys):
+    # 16777259 is the first prime above 2^24: no tables, so no spectra
+    for argv in (
+        ["spectrum", "diff", "--p", "16777259", "--r", "3"],
+        ["spectrum", "boom", "--p", "16777259", "--r", "2"],
+        ["charsum", "gamma", "--p", "16777259"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        assert "no tables for q = 16777259" in capsys.readouterr().err
 
 
 def test_u_outside_field_rejected(capsys):

@@ -3,11 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+from ffbinom import gf
 from ffbinom.errors import BadDegreeError, EvenCharacteristicError, FFBinomError, InvariantError, NonPrimeError
 from ffbinom.family import BinomialSpec, eval_table
 from ffbinom.gf import FieldSpec, SijClass, is_prime, make_field, prime_power
 
-from naive_oracles import naive_chi, pairwise_diff_hist
+from naive_oracles import naive_chi, pairwise_diff_hist, sequential_tables
 
 
 def test_make_field_basic():
@@ -69,8 +70,34 @@ def test_modulus_is_lex_smallest():
             if not reducible:
                 return tuple(f)
 
-    for p, n in [(3, 2), (3, 3), (5, 2), (7, 2), (5, 3)]:
+    for p, n in [(3, 2), (3, 3), (5, 2), (7, 2), (5, 3), (3, 4), (3, 5), (3, 6), (5, 4), (7, 3)]:
         assert make_field(p, n).modulus == first_irreducible(p, n)
+
+
+@pytest.mark.parametrize("p,n", [(11, 1), (257, 1), (1019, 1), (100003, 1),
+                                 (3, 3), (3, 7), (5, 4), (7, 3), (13, 3)])
+def test_tables_match_sequential_build(monkeypatch, p, n):
+    # q - 1 = 256 fills the last doubling round; every other order leaves it
+    # partial.  A 7-row chunk puts chunk edges inside every round.
+    g, exp, log, chi = sequential_tables(make_field(p, n))
+    monkeypatch.setattr(gf, "_BUILD_CHUNK", 7)
+    for f in (make_field(p, n), FieldSpec(p, n)):
+        assert f.generator == g
+        for table, ref in ((f._exp, exp), (f._log, log), (f._chi, chi)):
+            assert table.dtype == ref.dtype
+            assert (table == ref).all()
+
+
+def test_north_star_field_f3_11():
+    f = make_field(3, 11)
+    assert f.modulus[0] != 0
+    assert (np.sort(f._exp) == np.arange(1, f.q)).all()
+    rng = np.random.default_rng(311)
+    for k in rng.integers(0, f.q - 1, size=50).tolist():
+        assert int(f._exp[k]) == f._pow_slow(f.generator, k)
+        assert int(f._log[f._exp[k]]) == k
+    for x in rng.integers(1, f.q, size=50).tolist():
+        assert f.chi(x) == naive_chi(f, x)
 
 
 def test_field_construction_deterministic():
@@ -233,7 +260,8 @@ def test_array_helpers_match_scalars():
 
 
 def test_large_field_scalar_fallbacks():
-    # orders above the table limit still get exact scalar arithmetic
+    # orders above the table limit still get exact scalar arithmetic, and
+    # bulk operations fail fast
     f = FieldSpec(16_777_259, 1)  # prime just above 2^24
     assert f.generator is None
     assert f.mul(3, 5) == 15
@@ -244,6 +272,10 @@ def test_large_field_scalar_fallbacks():
     assert f.chi(2) in (-1, 1)
     with pytest.raises(FFBinomError):
         f.chi_table
+    with pytest.raises(FFBinomError):
+        f.power_table(3)
+    with pytest.raises(FFBinomError):
+        f.sij_sizes()
 
 
 def test_outer_diff_hist():
