@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedUError, ZeroShiftError
+from .errors import InvariantError, UnsupportedUError, ZeroShiftError
 from .family import BinomialSpec, eval_table
 from .gf import Elt, FieldSpec
 
@@ -89,8 +89,9 @@ def diff_spectrum(field: FieldSpec, spec: BinomialSpec) -> DiffSpectrum:
     row = delta_row(field, spec)
     counts = np.bincount(row)
     omega = {int(i): int(c) for i, c in enumerate(counts) if c}
-    assert sum(omega.values()) == field.q
-    assert sum(i * c for i, c in omega.items()) == field.q
+    # sum_i omega_i counts every b once, sum_i i*omega_i every x once
+    if sum(omega.values()) != field.q or sum(i * c for i, c in omega.items()) != field.q:
+        raise InvariantError(f"differential spectrum {omega} breaks sum omega_i = sum i*omega_i = q = {field.q}")
     return DiffSpectrum(omega, int(row.max()))
 
 

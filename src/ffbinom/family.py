@@ -69,14 +69,32 @@ def evaluate_power(field: FieldSpec, r: int, x: Elt) -> Elt:
 
 
 def eval_table(field: FieldSpec, spec: BinomialSpec) -> np.ndarray:
-    """Values of the binomial over the whole field as an encoded array."""
+    """Values of the binomial over the whole field as an encoded array.
+
+    Computed in the log domain as one gather: for x = g^k != 0 the value is
+    g^(k*r + s), where s is the log of 1 + u on squares (k even) and of 1 - u
+    on non-squares (k odd).  A factor of 0 (u = -1 or u = 1) zeroes that half
+    of the field, and 0 maps to 0.
+    """
     _check_u(field, spec)
-    xr = field.power_table(spec.r)
-    chi = field.chi_table
-    f_plus = field.add(1, spec.u)
-    f_minus = field.sub(1, spec.u)
-    factor = np.where(chi == 1, f_plus, np.where(chi == -1, f_minus, 0))
-    return field.mul_arrays(xr, factor)
+    field._require_tables()
+    m = field.q - 1
+    factors = (field.add(1, spec.u), field.sub(1, spec.u))
+    shift = field._log[list(factors)]
+    logs = field._log[1:]
+    parity = logs & 1
+    e = logs * (spec.r % m)
+    e += shift[0]
+    e += parity * (shift[1] - shift[0])
+    e %= m
+    out = np.empty(field.q, dtype=np.int64)
+    out[0] = 0
+    # e is already reduced, and mode="clip" lets take write into out unbuffered
+    np.take(field._exp, e, out=out[1:], mode="clip")
+    for k, factor in enumerate(factors):
+        if factor == 0:
+            out[1:] *= parity ^ k
+    return out
 
 
 def table1_exponents(field: FieldSpec) -> list[ExponentFamily]:

@@ -463,11 +463,10 @@ class FieldSpec:
     def mul_arrays(self, a: np.ndarray, b) -> np.ndarray:
         """Elementwise field product via the discrete-log table."""
         self._require_tables()
-        a = np.asarray(a)
-        b_arr = np.broadcast_to(np.asarray(b), a.shape)
-        out = np.zeros(a.shape, dtype=np.int64)
-        m = (a != 0) & (b_arr != 0)
-        out[m] = self._exp[(self._log[a[m]] + self._log[b_arr[m]]) % (self.q - 1)]
+        a, b = np.asarray(a), np.asarray(b)
+        # log(0) = -1 still indexes exp; those products are zeroed after
+        out = self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        out[(a == 0) | (b == 0)] = 0
         return out
 
     def power_table(self, e: int) -> np.ndarray:
@@ -478,8 +477,8 @@ class FieldSpec:
         er = e % (self.q - 1)
         out = np.empty(self.q, dtype=np.int64)
         out[0] = 1 if e == 0 else 0
-        nz = np.arange(1, self.q, dtype=np.int64)
-        out[1:] = self._exp[self._log[nz] * er % (self.q - 1)]
+        # indices are already reduced; mode="clip" lets take write into out unbuffered
+        np.take(self._exp, self._log[1:] * er % (self.q - 1), out=out[1:], mode="clip")
         return out
 
     def outer_diff_hist(self, values: np.ndarray) -> np.ndarray:

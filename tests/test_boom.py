@@ -7,7 +7,7 @@ from ffbinom.errors import FFBinomError, InvariantError, UnsupportedUError, Zero
 from ffbinom.family import BinomialSpec
 from ffbinom.gf import FieldSpec, make_field
 
-from naive_oracles import naive_beta_count
+from naive_oracles import naive_beta_count, pairwise_diff_hist
 
 
 @pytest.mark.parametrize("p,n,r", [(11, 1, 3), (3, 3, 2)])
@@ -49,6 +49,50 @@ def test_beta_profile_matches_beta_row(monkeypatch, p, n, r, u, fft_classes):
         assert profile[b] == beta_row(f, spec, b)
 
 
+def test_beta_profile_matches_beta_row_generic_u_near_1e4(monkeypatch):
+    # generic u on a prime near 10^4: every class is small, so the whole
+    # profile comes from the packed-key grouping and the pair kernel
+    f = make_field(9931, 1)
+    spec = BinomialSpec(7, 4731)
+
+    def no_fft(self, values):
+        raise AssertionError(f"a class of {len(values)} reached the FFT")
+
+    monkeypatch.setattr(FieldSpec, "outer_diff_hist", no_fft)
+    profile = beta_profile(f, spec)
+    rng = np.random.default_rng(9931)
+    bs = [0, int(profile[1:].argmax()) + 1, *rng.integers(1, f.q, 150).tolist()]
+    for b in bs:
+        assert profile[b] == beta_row(f, spec, b)
+    assert int(profile[1:].max()) >= 2
+
+
+def _runs_with_repeats(field, rng):
+    # runs of sizes 2, 3 and 58; some values repeat inside a run, which makes
+    # off-diagonal zero differences
+    rows = [rng.integers(0, field.q, s) for s in (2, 3, 58, 3, 2, 58)]
+    rows[2][:6] = rows[2][10]
+    rows[3][:] = rows[3][0]
+    rows[4][1] = rows[4][0]
+    return rows
+
+
+@pytest.mark.parametrize("p,n", [(101, 1), (3461, 1), (5, 3), (3, 5)])
+@pytest.mark.parametrize("chunk", [None, 5])
+def test_within_row_diff_hist_matches_pairwise(monkeypatch, p, n, chunk):
+    f = make_field(p, n)
+    if chunk:
+        # pieces and pooled bincounts break inside every offset
+        monkeypatch.setattr(boom, "_PAIR_CHUNK", chunk)
+    rows = _runs_with_repeats(f, np.random.default_rng(p**n))
+    for row in rows:
+        assert (boom._within_row_diff_hist(f, row, [len(row)]) == pairwise_diff_hist(f, row)).all()
+    values = np.concatenate(rows)
+    sizes = np.array([len(row) for row in rows])
+    expected = sum(pairwise_diff_hist(f, row) for row in rows)
+    assert (boom._within_row_diff_hist(f, values, sizes) == expected).all()
+
+
 def test_beta_diagonal_at_zero():
     for p, n in [(11, 1), (3, 3)]:
         f = make_field(p, n)
@@ -84,8 +128,8 @@ def test_beta_profile_guards_pair_total(monkeypatch):
     # one pair too many from the batched small-class histograms
     within = boom._within_row_diff_hist
 
-    def corrupted(field, rows):
-        hist = within(field, rows)
+    def corrupted(*args):
+        hist = within(*args)
         hist[1] += 1
         return hist
 

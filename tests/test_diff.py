@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from ffbinom import diff
 from ffbinom.diff import (
     d00_condition,
     delta_ab,
@@ -9,7 +15,7 @@ from ffbinom.diff import (
     dij_counts,
     locally_apn_check,
 )
-from ffbinom.errors import UnsupportedUError, ZeroShiftError
+from ffbinom.errors import InvariantError, UnsupportedUError, ZeroShiftError
 from ffbinom.family import BinomialSpec, eval_table, table1_exponents
 from ffbinom.gf import make_field
 
@@ -59,6 +65,52 @@ def test_spectrum_identities(p, n, specs):
         s = diff_spectrum(f, spec)
         assert sum(s.omega.values()) == f.q
         assert sum(i * c for i, c in s.omega.items()) == f.q
+
+
+def test_diff_spectrum_guards_identities(monkeypatch):
+    row = diff.delta_row
+
+    def corrupted(field, spec):
+        out = row(field, spec)
+        out[1] += 1
+        return out
+
+    monkeypatch.setattr(diff, "delta_row", corrupted)
+    with pytest.raises(InvariantError):
+        diff_spectrum(make_field(11, 1), BinomialSpec(3, 1))
+
+
+_GUARD_UNDER_O = """
+from ffbinom import diff
+from ffbinom.errors import InvariantError
+from ffbinom.family import BinomialSpec
+from ffbinom.gf import make_field
+
+if __debug__:
+    raise SystemExit(2)
+row = diff.delta_row
+
+
+def corrupted(field, spec):
+    out = row(field, spec)
+    out[1] += 1
+    return out
+
+
+diff.delta_row = corrupted
+try:
+    diff.diff_spectrum(make_field(11, 1), BinomialSpec(3, 1))
+except InvariantError:
+    raise SystemExit(0)
+raise SystemExit(1)
+"""
+
+
+def test_diff_spectrum_guard_survives_optimize():
+    src = str(Path(diff.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-O", "-c", _GUARD_UNDER_O], env=env, timeout=120)
+    assert done.returncode == 0
 
 
 def test_delta_ab_basics():

@@ -52,9 +52,20 @@ def test_evaluate_power_examples():
     assert evaluate_power(f, 7, 2) == 7  # 128 mod 11
 
 
+def _edge_specs(p, n):
+    # u = 0, 1, -1 and one u outside {0, +-1}, so each factor 1 +- u is 0 in
+    # some case; r = 1, q - 1, an unreduced 2(q - 1) + 3, one beyond int64
+    # and (2q - 1)/3
+    q = p**n
+    us = [0, 1, p - 1] + ([p if n > 1 else 2] if q > 3 else [])
+    rs = [1, q - 1, 2 * (q - 1) + 3, 2**64 + 5] + ([(2 * q - 1) // 3] if (2 * q - 1) % 3 == 0 else [])
+    return [BinomialSpec(r, u) for r in rs for u in us]
+
+
 @pytest.mark.parametrize("p,n,specs", [
     (11, 1, [BinomialSpec(3, 1), BinomialSpec(7, 10), BinomialSpec(2, 5)]),
     (3, 3, [BinomialSpec(2, 1), BinomialSpec(5, 26), BinomialSpec(4, 7)]),
+    *[(p, n, _edge_specs(p, n)) for p, n in [(3, 1), (11, 1), (3, 3), (7, 2)]],
 ])
 def test_eval_table_matches_definition(p, n, specs):
     f = make_field(p, n)

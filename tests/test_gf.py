@@ -259,6 +259,16 @@ def test_array_helpers_match_scalars():
         assert f.succ_table.tolist() == [f.add(x, 1) for x in xs]
 
 
+def test_mul_arrays_zero_operands():
+    for p, n in [(11, 1), (3, 3)]:
+        f = make_field(p, n)
+        xs = np.arange(f.q, dtype=np.int64)
+        assert not f.mul_arrays(xs, 0).any()
+        assert not f.mul_arrays(np.zeros(f.q, dtype=np.int64), xs).any()
+        assert f.mul_arrays(xs, 2).tolist() == [f.mul(x, 2) for x in xs]
+        assert f.mul_arrays(xs, xs).tolist() == [f.mul(x, x) for x in xs]
+
+
 def test_large_field_scalar_fallbacks():
     # orders above the table limit still get exact scalar arithmetic, and
     # bulk operations fail fast
