@@ -21,7 +21,6 @@ from .family import (
     cm_equiv_partner,
     eval_table,
     evaluate,
-    evaluate_power,
     find_table1,
     gcd_check,
     reduce_exponent,

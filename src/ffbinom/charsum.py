@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     FFBinomError,
+    InvariantError,
     NotOddError,
     WrongFieldError,
     WrongResidueError,
@@ -86,7 +87,7 @@ def quad_char_sum(field: FieldSpec, a2: Elt, a1: Elt, a0: Elt) -> int:
     """Sum of chi(a2 x^2 + a1 x + a0) over the field.
 
     Closed form: -chi(a2) when the discriminant is nonzero, else
-    (q-1) chi(a2); asserted against the computed sum.
+    (q-1) chi(a2); InvariantError is raised if the computed sum differs.
     """
     if a2 == 0:
         raise ZeroLeadingError("leading coefficient must be nonzero")
@@ -98,7 +99,8 @@ def quad_char_sum(field: FieldSpec, a2: Elt, a1: Elt, a0: Elt) -> int:
     value = int(field.chi_table[vals].astype(np.int64).sum())
     disc = field.sub(field.mul(a1, a1), field.mul(field.from_int(4), field.mul(a0, a2)))
     expected = (field.q - 1) * field.chi(a2) if disc == 0 else -field.chi(a2)
-    assert value == expected
+    if value != expected:
+        raise InvariantError(f"quadratic character sum {value} differs from its closed form {expected}")
     return value
 
 
@@ -110,5 +112,6 @@ def odd_fn_sum_check(field: FieldSpec, f: Callable[[Elt], Elt]) -> int:
         if f(field.neg(x)) != field.neg(f(x)):
             raise NotOddError(f"f(-x) != -f(x) at x = {x}")
     value = sum(field.chi(f(x)) for x in field.elements())
-    assert value == 0
+    if value != 0:
+        raise InvariantError(f"character sum of an odd function is {value}, not 0")
     return value

@@ -14,7 +14,7 @@ import sys
 from . import boom, charsum, diff, family, predict, scan
 from .errors import FFBinomError
 from .family import BinomialSpec
-from .gf import _MAX_ORDER, make_field, prime_power
+from .gf import make_field
 
 
 class _Parser(argparse.ArgumentParser):
@@ -36,8 +36,6 @@ def _field_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _get_field(parser: argparse.ArgumentParser, args: argparse.Namespace):
-    if args.p**args.n >= _MAX_ORDER:
-        parser.error(f"field order {args.p}^{args.n} exceeds 2^63")
     try:
         return make_field(args.p, args.n)
     except FFBinomError as exc:
@@ -53,10 +51,12 @@ def build_parser() -> _Parser:
     p_info = field_sub.add_parser("info", help="print field parameters as JSON")
     _field_args(p_info)
     p_info.add_argument("--json", action="store_true", help="emit JSON (default)")
+    p_info.set_defaults(func=_cmd_field_info)
 
     p_fam = sub.add_parser("families", help="special exponents applicable to a field")
     _field_args(p_fam)
     p_fam.add_argument("--json", action="store_true", help="emit JSON (default)")
+    p_fam.set_defaults(func=_cmd_families)
 
     p_spec = sub.add_parser("spectrum", help="differential / boomerang spectra")
     spec_sub = p_spec.add_subparsers(dest="kind", required=True, parser_class=_Parser)
@@ -66,6 +66,7 @@ def build_parser() -> _Parser:
         sp.add_argument("--r", type=int, required=True, help="exponent")
         sp.add_argument("--u", type=int, default=1, help="binomial coefficient u (default 1)")
         sp.add_argument("--json", action="store_true", help="emit JSON (default)")
+        sp.set_defaults(func=_cmd_spectrum)
 
     p_cs = sub.add_parser("charsum", help="exact character sums")
     cs_sub = p_cs.add_subparsers(dest="which_sum", required=True, parser_class=_Parser)
@@ -73,6 +74,7 @@ def build_parser() -> _Parser:
         cp = cs_sub.add_parser(name)
         _field_args(cp)
         cp.add_argument("--json", action="store_true", help="emit JSON (default)")
+        cp.set_defaults(func=_cmd_charsum)
 
     p_ver = sub.add_parser("verify", help="closed-form prediction vs brute-force oracle")
     p_ver.add_argument("--theorem", choices=predict.THEOREMS, required=True)
@@ -80,6 +82,7 @@ def build_parser() -> _Parser:
     p_ver.add_argument("--n", type=int, default=1, help="extension degree (default 1)")
     p_ver.add_argument("--r", type=int, help="exponent (theorem du)")
     p_ver.add_argument("--qmax", type=int, help="verify all applicable fields up to this order")
+    p_ver.set_defaults(func=_cmd_verify)
 
     p_scan = sub.add_parser("scan", help="scan exponents for the S00 collision condition")
     _field_args(p_scan)
@@ -89,9 +92,11 @@ def build_parser() -> _Parser:
                         help="worker count (default $FFBINOM_JOBS or 1)")
     p_scan.add_argument("--out", type=str, default=None,
                         help="append JSON-lines here instead of stdout")
+    p_scan.set_defaults(func=_cmd_scan)
 
     p_tab = sub.add_parser("tables", help="reproduce the reference tables as CSV")
     p_tab.add_argument("--which", choices=("ds-f3", "bs-f2"), required=True)
+    p_tab.set_defaults(func=_cmd_tables)
     return parser
 
 
@@ -122,10 +127,8 @@ def _cmd_families(parser, args) -> int:
 
 def _cmd_spectrum(parser, args) -> int:
     fld = _get_field(parser, args)
-    spec = BinomialSpec(args.r, args.u % fld.p if args.u < 0 else args.u)
-    if spec.u >= fld.q:
-        parser.error(f"u = {spec.u} is not an element of F_{fld.q}")
     try:
+        spec = BinomialSpec(args.r, args.u % fld.p if args.u < 0 else args.u)
         if args.kind == "diff":
             spectrum = diff.diff_spectrum(fld, spec)
             report = diff.locally_apn_check(fld, spec)
@@ -176,24 +179,21 @@ def _cmd_charsum(parser, args) -> int:
 
 
 def _cmd_verify(parser, args) -> int:
+    if args.qmax is not None:
+        fields, r = predict.fields_for(args.theorem, args.qmax), None
+    elif args.p is None:
+        parser.error("verify needs --p/--n or --qmax")
+    else:
+        fields, r = [_get_field(parser, args)], args.r
     reports = []
     try:
-        if args.qmax is not None:
-            for fld in predict.fields_for(args.theorem, args.qmax):
-                if args.theorem == "du":
-                    for fam in family.table1_exponents(fld):
-                        reports.append(predict.verify(fld, "du", fam.r))
-                else:
-                    reports.append(predict.verify(fld, args.theorem))
-        else:
-            if args.p is None:
-                parser.error("verify needs --p/--n or --qmax")
-            fld = _get_field(parser, args)
-            if args.theorem == "du" and args.r is None:
-                for fam in family.table1_exponents(fld):
-                    reports.append(predict.verify(fld, "du", fam.r))
+        for fld in fields:
+            # du without an exponent runs every special exponent of the field
+            if args.theorem == "du" and r is None:
+                rs = [fam.r for fam in family.table1_exponents(fld)]
             else:
-                reports.append(predict.verify(fld, args.theorem, args.r))
+                rs = [r]
+            reports += [predict.verify(fld, args.theorem, ri) for ri in rs]
     except FFBinomError as exc:
         parser.error(str(exc))
     _print_json([rep.to_dict() for rep in reports])
@@ -216,46 +216,30 @@ def _cmd_scan(parser, args) -> int:
     return 0
 
 
+# largest order of each reference table: the paper's ds-f3 rows run to
+# q = 227, its bs-f2 rows to n = 9
+_TABLE_QMAX = {"ds-f3": 227, "bs-f2": 3**9}
+
+
 def _cmd_tables(parser, args) -> int:
-    if args.which == "ds-f3":
-        print("q,gamma,omega_0,omega_1,omega_2,omega_(q+1)/4")
-        for q in range(11, 231, 12):
-            pn = prime_power(q)
-            if pn is None:
-                continue
-            fld = make_field(*pn)
-            g = charsum.gamma(fld).value
-            omega = diff.diff_spectrum(fld, BinomialSpec(3, 1)).omega
-            peak = (q + 1) // 4
-            print(f"{q},{g},{omega.get(0, 0)},{omega.get(1, 0)},{omega.get(2, 0)},{omega.get(peak, 0)}")
-    else:
-        print("n,lambda,nu_0,nu_1")
-        for n in (3, 5, 7, 9):
-            fld = make_field(3, n)
-            lam = charsum.lambda_sum(fld).value
-            nu = boom.boom_spectrum(fld, BinomialSpec(2, 1)).nu
-            print(f"{n},{lam},{nu.get(0, 0)},{nu.get(1, 0)}")
+    ds = args.which == "ds-f3"
+    print("q,gamma,omega_0,omega_1,omega_2,omega_(q+1)/4" if ds else "n,lambda,nu_0,nu_1")
+    for fld in predict.fields_for(args.which, _TABLE_QMAX[args.which]):
+        rep = predict.verify(fld, args.which)
+        if ds:
+            omega = rep.oracle["omega"]
+            row = [fld.q, rep.char_sum] + [omega.get(i, 0) for i in (0, 1, 2, (fld.q + 1) // 4)]
+        else:
+            nu = rep.oracle["nu"]
+            row = [fld.n, rep.char_sum, nu.get(0, 0), nu.get(1, 0)]
+        print(",".join(map(str, row)))
     return 0
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "field":
-        return _cmd_field_info(parser, args)
-    if args.command == "families":
-        return _cmd_families(parser, args)
-    if args.command == "spectrum":
-        return _cmd_spectrum(parser, args)
-    if args.command == "charsum":
-        return _cmd_charsum(parser, args)
-    if args.command == "verify":
-        return _cmd_verify(parser, args)
-    if args.command == "scan":
-        return _cmd_scan(parser, args)
-    if args.command == "tables":
-        return _cmd_tables(parser, args)
-    parser.error(f"unknown command {args.command!r}")  # unreachable
+    return args.func(parser, args)
 
 
 def entry() -> None:

@@ -2,7 +2,8 @@
 
 Everything is organized around the a = 1 difference row: delta(a, b) for
 general a reduces to a row lookup through the permutations b -> b/a^r and
-b -> b/((-1)^(r+1) a^r), so the full (a, b) table is never materialized.
+b -> b/((-1)^(r+1) a^r) when q = 3 (mod 4), so the full (a, b) table is
+never materialized.
 """
 
 from __future__ import annotations
@@ -66,22 +67,7 @@ def delta_ab(field: FieldSpec, spec: BinomialSpec, a: Elt, b: Elt) -> int:
         raise ZeroShiftError("a must be nonzero")
     fv = eval_table(field, spec)
     fa = fv[field.add_arrays(np.arange(field.q, dtype=np.int64), a)]
-    count = int(np.count_nonzero(field.sub_arrays(fa, fv) == b))
-    if __debug__ and field.q % 4 == 3:
-        assert count == delta_row(field, spec)[_reduced_index(field, spec, a, b, beta=False)]
-    return count
-
-
-def _reduced_index(field: FieldSpec, spec: BinomialSpec, a: Elt, b: Elt, beta: bool) -> Elt:
-    # image of b under the permutation carrying the a-row to the 1-row;
-    # needs chi(-1) = -1, i.e. q = 3 (mod 4)
-    ar = field.pow(a, spec.r)
-    if field.chi(a) == 1:
-        den = ar
-    else:
-        sign_exp = spec.r if beta else spec.r + 1
-        den = field.neg(ar) if sign_exp % 2 == 1 else ar
-    return field.mul(b, field.inv(den))
+    return int(np.count_nonzero(field.sub_arrays(fa, fv) == b))
 
 
 def diff_spectrum(field: FieldSpec, spec: BinomialSpec) -> DiffSpectrum:

@@ -232,7 +232,7 @@ class FieldSpec:
             raise BadDegreeError(f"extension degree must be >= 1, got {n}")
         q = p**n
         if q >= _MAX_ORDER:
-            raise BadDegreeError(f"field order {q} exceeds 2^63")
+            raise BadDegreeError(f"field order {p}^{n} exceeds 2^63")
         self.p = p
         self.n = n
         self.q = q

@@ -3,15 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import asdict, dataclass
+from typing import Callable, Iterator
 
 from . import boom, charsum, diff, family
-from .errors import HypothesisUnverifiedError, NotApplicableError, WrongResidueError
+from .errors import HypothesisUnverifiedError, InvariantError, NotApplicableError, WrongResidueError
 from .family import BinomialSpec
 from .gf import FieldSpec, make_field, prime_power
-
-THEOREMS = ("du", "ds-f3", "ds-f3inv", "bs-f2", "cm-equiv")
 
 _OUTSIDE_HYPOTHESIS = "outside theorem hypothesis (q = 11); formulas still reproduce the row"
 
@@ -76,21 +74,25 @@ def predict_du(field: FieldSpec, r: int) -> DuPrediction:
     return DuPrediction(delta=(q + 1) // 4, locally_apn_star=True)
 
 
-def predict_ds_f3(field: FieldSpec) -> diff.DiffSpectrum:
-    """Differential spectrum of the cube binomial from the Gamma sum."""
+def _ds_f3(field: FieldSpec) -> tuple[dict, int]:
+    # {"omega": ...} of the cube binomial and the Gamma value it comes from;
+    # gamma raises WrongResidueError unless q = 11 (mod 12)
     q = field.q
-    if q % 12 != 11:
-        raise WrongResidueError(f"q = {q} is not 11 mod 12")
     g = charsum.gamma(field).value
+    if (3 * (q - 3) - 4 * g) % 8 or (q - 3 - 4 * g) % 8:
+        raise InvariantError(f"Gamma = {g} gives a non-integral omega for q = {q}")
     omega = {
         0: (3 * (q - 3) - 4 * g) // 8,
         1: (q + 1 + 2 * g) // 2,
         2: (q - 3 - 4 * g) // 8,
         (q + 1) // 4: 1,
     }
-    assert (3 * (q - 3) - 4 * g) % 8 == 0 and (q - 3 - 4 * g) % 8 == 0
-    omega = {i: c for i, c in omega.items() if c}
-    return diff.DiffSpectrum(omega, (q + 1) // 4)
+    return {"omega": {i: c for i, c in omega.items() if c}}, g
+
+
+def predict_ds_f3(field: FieldSpec) -> diff.DiffSpectrum:
+    """Differential spectrum of the cube binomial from the Gamma sum."""
+    return diff.DiffSpectrum(_ds_f3(field)[0]["omega"], (field.q + 1) // 4)
 
 
 def predict_ds_f3inv(field: FieldSpec) -> diff.DiffSpectrum:
@@ -104,79 +106,77 @@ def predict_ds_f3inv(field: FieldSpec) -> diff.DiffSpectrum:
     return diff.DiffSpectrum(omega, (q + 1) // 4)
 
 
-def predict_bs_f2(field: FieldSpec) -> boom.BoomSpectrum:
-    """Boomerang spectrum of the square binomial over F_{3^n} from Lambda."""
+def _bs_f2(field: FieldSpec) -> tuple[dict, int]:
+    # {"nu": ...} of the square binomial over F_{3^n} and the Lambda value
+    # it comes from
     q = field.q
     if field.p != 3 or field.n % 2 == 0 or field.n < 3:
         raise NotApplicableError("requires p = 3 and odd n >= 3")
     lam = charsum.lambda_sum(field).value
-    assert (q + 1 - 2 * lam) % 4 == 0
+    if (q + 1 - 2 * lam) % 4:
+        raise InvariantError(f"Lambda = {lam} gives a non-integral nu for q = {q}")
     nu = {0: (3 * q - 5 + 2 * lam) // 4, 1: (q + 1 - 2 * lam) // 4}
-    nu = {i: c for i, c in nu.items() if c}
+    return {"nu": {i: c for i, c in nu.items() if c}}, lam
+
+
+def predict_bs_f2(field: FieldSpec) -> boom.BoomSpectrum:
+    """Boomerang spectrum of the square binomial over F_{3^n} from Lambda."""
+    nu = _bs_f2(field)[0]["nu"]
     return boom.BoomSpectrum(nu, max(nu))
 
 
-def _compare(predicted: dict[int, int], oracle: dict[int, int]) -> tuple[bool, tuple | None]:
-    if predicted == oracle:
-        return True, None
+def _first_mismatch(predicted: dict[int, int], oracle: dict[int, int]) -> tuple | None:
     for i in sorted(set(predicted) | set(oracle)):
         if predicted.get(i, 0) != oracle.get(i, 0):
-            return False, (i, predicted.get(i, 0), oracle.get(i, 0))
-    return False, None
+            return i, predicted.get(i, 0), oracle.get(i, 0)
+    return None
 
 
-def verify(field: FieldSpec, theorem: str, r: int | None = None) -> VerifyReport:
-    """Run the predictor and the brute oracle for one theorem on one field."""
-    p, n, q = field.p, field.n, field.q
-    if theorem == "ds-f3":
-        pred = predict_ds_f3(field)
-        orc = diff.diff_spectrum(field, BinomialSpec(3, 1))
-        match, mism = _compare(pred.omega, orc.omega)
-        return VerifyReport(
-            theorem, p, n, q,
-            {"omega": pred.omega}, {"omega": orc.omega},
-            match, char_sum=charsum.gamma(field).value, first_mismatch=mism,
-            note=_OUTSIDE_HYPOTHESIS if q == 11 else "",
-        )
-    if theorem == "ds-f3inv":
-        pred = predict_ds_f3inv(field)
-        orc = diff.diff_spectrum(field, BinomialSpec((2 * q - 1) // 3, 1))
-        match, mism = _compare(pred.omega, orc.omega)
-        return VerifyReport(
-            theorem, p, n, q,
-            {"omega": pred.omega}, {"omega": orc.omega},
-            match, first_mismatch=mism,
-            note=_OUTSIDE_HYPOTHESIS if q == 11 else "",
-        )
-    if theorem == "bs-f2":
-        pred = predict_bs_f2(field)
-        orc = boom.boom_spectrum(field, BinomialSpec(2, 1))
-        match, mism = _compare(pred.nu, orc.nu)
-        return VerifyReport(
-            theorem, p, n, q,
-            {"nu": pred.nu}, {"nu": orc.nu},
-            match, char_sum=charsum.lambda_sum(field).value, first_mismatch=mism,
-        )
-    if theorem == "du":
-        if r is None:
-            raise NotApplicableError("theorem 'du' needs an exponent r")
-        pred = predict_du(field, r)
-        spectrum = diff.diff_spectrum(field, BinomialSpec(r, 1))
-        report = diff.locally_apn_check(field, BinomialSpec(r, 1))
-        predicted = {"delta": pred.delta, "locally_apn_star": pred.locally_apn_star}
-        oracle = {"delta": spectrum.uniformity, "locally_apn_star": report.star}
-        return VerifyReport(theorem, p, n, q, predicted, oracle, predicted == oracle)
-    if theorem == "cm-equiv":
-        return _verify_cm_equiv(field)
-    raise NotApplicableError(f"unknown theorem {theorem!r}")
+@dataclass(frozen=True)
+class _Theorem:
+    """One row of the theorem table.
+
+    The theorem applies to the prime powers among first_q, next_q(first_q),
+    ...  It is checked on x^r (1 + chi(x)) with r = exponent(field, r passed
+    to verify): predict gives the predicted dict and the character sum behind
+    it, oracle the brute-force dict, spectrum the key whose first mismatch is
+    reported, and note the remark on the F_11 report.  The callables reach
+    library functions through their modules at call time, so tracing and
+    monkeypatching, which rebind module attributes, see every call.
+    """
+
+    first_q: int
+    next_q: Callable[[int], int]
+    exponent: Callable[[FieldSpec, int | None], int]
+    predict: Callable[[FieldSpec, BinomialSpec], tuple[dict, int | None]]
+    oracle: Callable[[FieldSpec, BinomialSpec], dict]
+    spectrum: str | None = None
+    note: str = ""
 
 
-def _verify_cm_equiv(field: FieldSpec) -> VerifyReport:
+def _du_exponent(field: FieldSpec, r: int | None) -> int:
+    if r is None:
+        raise NotApplicableError("theorem 'du' needs an exponent r")
+    return r
+
+
+def _diff_oracle(field: FieldSpec, spec: BinomialSpec) -> dict:
+    return {"omega": diff.diff_spectrum(field, spec).omega}
+
+
+def _boom_oracle(field: FieldSpec, spec: BinomialSpec) -> dict:
+    return {"nu": boom.boom_spectrum(field, spec).nu}
+
+
+def _cm_equiv_predict(field: FieldSpec, spec: BinomialSpec) -> tuple[dict, int]:
+    predicted, lam = _bs_f2(field)
+    return {"pointwise": True, **predicted}, lam
+
+
+def _cm_equiv_oracle(field: FieldSpec, spec: BinomialSpec) -> dict:
     # pointwise linear equivalence for every k, then spectrum transfer to the
     # k = n-1 exponent
-    p, n, q = field.p, field.n, field.q
-    if p != 3 or n % 2 == 0 or n < 3:
-        raise NotApplicableError("requires p = 3 and odd n >= 3")
+    n = field.n
     pointwise = True
     for k in range(1, n):
         partner = family.cm_equiv_partner(n, k)
@@ -189,35 +189,69 @@ def _verify_cm_equiv(field: FieldSpec) -> VerifyReport:
                 break
         if not pointwise:
             break
-    pred = predict_bs_f2(field)
-    orc = boom.boom_spectrum(field, BinomialSpec((3 ** (n - 1) + 1) // 2, 1))
-    match, mism = _compare(pred.nu, orc.nu)
+    return {"pointwise": pointwise, **_boom_oracle(field, spec)}
+
+
+_TABLE = {
+    "du": _Theorem(
+        3, lambda q: q + 4, _du_exponent,
+        lambda f, spec: (asdict(predict_du(f, spec.r)), None),
+        lambda f, spec: {
+            "delta": diff.diff_spectrum(f, spec).uniformity,
+            "locally_apn_star": diff.locally_apn_check(f, spec).star,
+        },
+    ),
+    "ds-f3": _Theorem(
+        11, lambda q: q + 12, lambda f, r: 3,
+        lambda f, spec: _ds_f3(f),
+        _diff_oracle, "omega", _OUTSIDE_HYPOTHESIS,
+    ),
+    "ds-f3inv": _Theorem(
+        11, lambda q: q + 12, lambda f, r: (2 * f.q - 1) // 3,
+        lambda f, spec: ({"omega": predict_ds_f3inv(f).omega}, None),
+        _diff_oracle, "omega", _OUTSIDE_HYPOTHESIS,
+    ),
+    "bs-f2": _Theorem(
+        27, lambda q: 9 * q, lambda f, r: 2,
+        lambda f, spec: _bs_f2(f),
+        _boom_oracle, "nu",
+    ),
+    "cm-equiv": _Theorem(
+        27, lambda q: 9 * q, lambda f, r: (3 ** (f.n - 1) + 1) // 2,
+        _cm_equiv_predict, _cm_equiv_oracle, "nu",
+    ),
+}
+
+THEOREMS = tuple(_TABLE)
+
+
+def _theorem(name: str) -> _Theorem:
+    if name not in _TABLE:
+        raise NotApplicableError(f"unknown theorem {name!r}")
+    return _TABLE[name]
+
+
+def verify(field: FieldSpec, theorem: str, r: int | None = None) -> VerifyReport:
+    """Run the predictor and the brute oracle for one theorem on one field."""
+    t = _theorem(theorem)
+    spec = BinomialSpec(t.exponent(field, r), 1)
+    predicted, char_sum = t.predict(field, spec)
+    oracle = t.oracle(field, spec)
+    key = t.spectrum
     return VerifyReport(
-        "cm-equiv", p, n, q,
-        {"pointwise": True, "nu": pred.nu},
-        {"pointwise": pointwise, "nu": orc.nu},
-        pointwise and match,
-        char_sum=charsum.lambda_sum(field).value,
-        first_mismatch=mism,
+        theorem, field.p, field.n, field.q, predicted, oracle, predicted == oracle,
+        char_sum=char_sum,
+        first_mismatch=_first_mismatch(predicted[key], oracle[key]) if key else None,
+        note=t.note if field.q == 11 else "",
     )
 
 
 def fields_for(theorem: str, qmax: int) -> Iterator[FieldSpec]:
     """All fields a theorem applies to with order at most qmax."""
-    if theorem in ("ds-f3", "ds-f3inv"):
-        for q in range(11, qmax + 1, 12):
-            pn = prime_power(q)
-            if pn is not None:
-                yield make_field(*pn)
-    elif theorem in ("bs-f2", "cm-equiv"):
-        n = 3
-        while 3**n <= qmax:
-            yield make_field(3, n)
-            n += 2
-    elif theorem == "du":
-        for q in range(3, qmax + 1, 4):
-            pn = prime_power(q)
-            if pn is not None:
-                yield make_field(*pn)
-    else:
-        raise NotApplicableError(f"unknown theorem {theorem!r}")
+    t = _theorem(theorem)
+    q = t.first_q
+    while q <= qmax:
+        pn = prime_power(q)
+        if pn is not None:
+            yield make_field(*pn)
+        q = t.next_q(q)

@@ -82,6 +82,22 @@ def pairwise_diff_hist(field: FieldSpec, values: np.ndarray) -> np.ndarray:
     return hist
 
 
+def reduced_index(field: FieldSpec, spec: BinomialSpec, a: int, b: int, beta: bool) -> int:
+    """Image of b under the permutation carrying the a-row to the 1-row.
+
+    delta(a, b) = delta(1, reduced_index(..., beta=False)) and beta(a, b) =
+    beta(1, reduced_index(..., beta=True)); needs chi(-1) = -1, i.e.
+    q = 3 (mod 4).
+    """
+    ar = field.pow(a, spec.r)
+    if field.chi(a) == 1:
+        den = ar
+    else:
+        sign_exp = spec.r if beta else spec.r + 1
+        den = field.neg(ar) if sign_exp % 2 == 1 else ar
+    return field.mul(b, field.inv(den))
+
+
 def naive_beta_count(field: FieldSpec, spec: BinomialSpec, a: int, b: int) -> int:
     fv = naive_values(field, spec)
     fa = [fv[field.add(x, a)] for x in field.elements()]

@@ -7,7 +7,7 @@ from ffbinom.errors import FFBinomError, InvariantError, UnsupportedUError, Zero
 from ffbinom.family import BinomialSpec
 from ffbinom.gf import FieldSpec, make_field
 
-from naive_oracles import naive_beta_count, pairwise_diff_hist
+from naive_oracles import naive_beta_count, pairwise_diff_hist, reduced_index
 
 
 @pytest.mark.parametrize("p,n,r", [(11, 1, 3), (3, 3, 2)])
@@ -286,15 +286,16 @@ def test_theorem_beta_f2_is_one_char3():
 
 @pytest.mark.parametrize("p,n", [(11, 1), (3, 3)])
 def test_row_reductions_hold_for_general_u(p, n):
-    # the shift-reduction identities hold for arbitrary u when q = 3 (mod 4);
-    # the debug asserts inside delta_ab/beta_ab fire on any mismatch
-    from ffbinom.diff import delta_ab
+    # the shift-reduction identities hold for arbitrary u when q = 3 (mod 4):
+    # delta(a, b) and beta(a, b) are entries of the a = 1 row
+    from ffbinom.diff import delta_ab, delta_row
 
     f = make_field(p, n)
     for u in (1, f.minus_one, 5 % f.q, 7 % f.q):
         for r in (2, 3):
             spec = BinomialSpec(r, u)
+            row = delta_row(f, spec)
             for a in range(1, f.q, 3):
                 for b in range(0, f.q, 2):
-                    delta_ab(f, spec, a, b)
-                    beta_ab(f, spec, a, b)
+                    assert delta_ab(f, spec, a, b) == row[reduced_index(f, spec, a, b, beta=False)]
+                    assert beta_ab(f, spec, a, b) == beta_row(f, spec, reduced_index(f, spec, a, b, beta=True))

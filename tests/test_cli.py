@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from ffbinom import cli, predict
+from ffbinom import cli, family, predict
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -119,6 +122,38 @@ def test_verify_mismatch_exits_2(capsys, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,golden", [
+    ("verify --theorem du --p 11 --n 1", "verify_du_11.json"),
+    ("verify --theorem ds-f3 --p 11 --n 1", "verify_ds-f3_11.json"),
+    ("verify --theorem ds-f3 --p 23 --n 1", "verify_ds-f3_23.json"),
+    ("verify --theorem ds-f3inv --p 11 --n 1", "verify_ds-f3inv_11.json"),
+    ("verify --theorem bs-f2 --p 3 --n 3", "verify_bs-f2_27.json"),
+    ("verify --theorem cm-equiv --p 3 --n 3", "verify_cm-equiv_27.json"),
+    ("verify --theorem du --qmax 12", "verify_du_qmax12.json"),
+    ("verify --theorem ds-f3 --qmax 50", "verify_ds-f3_qmax50.json"),
+    ("verify --theorem ds-f3inv --qmax 50", "verify_ds-f3inv_qmax50.json"),
+    ("verify --theorem bs-f2 --qmax 243", "verify_bs-f2_qmax243.json"),
+    ("verify --theorem cm-equiv --qmax 243", "verify_cm-equiv_qmax243.json"),
+    ("tables --which ds-f3", "tables_ds-f3.csv"),
+    ("tables --which bs-f2", "tables_bs-f2.csv"),
+])
+def test_output_matches_golden(capsys, argv, golden):
+    code, out = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
+def test_verify_cm_equiv_pointwise_failure_exits_2(capsys, monkeypatch):
+    partner = family.cm_equiv_partner
+    monkeypatch.setattr(family, "cm_equiv_partner", lambda n, k: partner(n, k) + 1)
+    code, out = run_cli(capsys, "verify", "--theorem", "cm-equiv", "--p", "3", "--n", "3")
+    assert code == 2
+    [report] = json.loads(out)
+    assert report["match"] is False
+    assert report["oracle"]["pointwise"] is False and report["predicted"]["pointwise"] is True
+    assert report["oracle"]["nu"] == report["predicted"]["nu"] and report["first_mismatch"] is None
+
+
 def test_verify_du_loops_families(capsys):
     code, out = run_cli(capsys, "verify", "--theorem", "du", "--p", "11", "--n", "1")
     assert code == 0
@@ -128,15 +163,20 @@ def test_verify_du_loops_families(capsys):
 
 
 def test_usage_errors_exit_1(capsys):
-    for argv in (
-        ["spectrum", "diff", "--p", "11"],  # missing --n/--r
-        ["verify", "--theorem", "ds-f3"],  # no field, no qmax
-        ["field", "info", "--p", "9", "--n", "1"],  # not prime
-        ["nonsense"],
+    for argv, message in (
+        (["spectrum", "diff", "--p", "11"], "the following arguments are required: --r"),
+        (["verify", "--theorem", "ds-f3"], "verify needs --p/--n or --qmax"),
+        (["field", "info", "--p", "9", "--n", "1"], "p = 9 is not prime"),
+        (["nonsense"], "argument command: invalid choice: 'nonsense'"),
+        (["spectrum", "diff", "--p", "11", "--r", "0"], "exponent must be >= 1, got 0"),
+        (["spectrum", "boom", "--p", "11", "--r", "-2"], "exponent must be >= 1, got -2"),
+        (["spectrum", "boom", "--p", "11", "--r", "3", "--u", "11"], "u = 11 is not an element of F_11"),
+        (["verify", "--theorem", "du", "--p", "11", "--r", "0"], "exponent must be >= 1, got 0"),
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 1
+        assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_overflow_rejected_at_parse(capsys):

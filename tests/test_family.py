@@ -10,7 +10,6 @@ from ffbinom.family import (
     cm_equiv_partner,
     eval_table,
     evaluate,
-    evaluate_power,
     find_table1,
     gcd_check,
     reduce_exponent,
@@ -46,10 +45,11 @@ def test_evaluate_examples():
 
 
 def test_evaluate_power_examples():
+    # u = 0 leaves the plain power map x^r
     f = make_field(11, 1)
-    assert evaluate_power(f, 3, 1) == 1
-    assert evaluate_power(f, 3, 2) == 8
-    assert evaluate_power(f, 7, 2) == 7  # 128 mod 11
+    assert evaluate(f, BinomialSpec(3, 0), 1) == 1
+    assert evaluate(f, BinomialSpec(3, 0), 2) == 8
+    assert evaluate(f, BinomialSpec(7, 0), 2) == 7  # 128 mod 11
 
 
 def _edge_specs(p, n):

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from ffbinom import charsum, predict
 from ffbinom.boom import boom_spectrum
+from ffbinom.charsum import CharSumResult
 from ffbinom.diff import diff_spectrum
-from ffbinom.errors import HypothesisUnverifiedError, NotApplicableError, WrongResidueError
+from ffbinom.errors import HypothesisUnverifiedError, InvariantError, NotApplicableError, WrongResidueError
 from ffbinom.family import BinomialSpec, table1_exponents
 from ffbinom.gf import make_field
 from ffbinom.predict import (
@@ -115,6 +122,57 @@ def test_verify_cm_equiv():
     assert report.match
     assert report.oracle["pointwise"]
     assert report.oracle["nu"] == {0: 14, 1: 12}
+
+
+@pytest.mark.parametrize("theorem,p,n,sum_name,value", [
+    # omega_0 = (60 - 4 Gamma)/8 on F_23 needs an odd Gamma, and
+    # nu_1 = (28 - 2 Lambda)/4 on F_27 an even Lambda
+    ("ds-f3", 23, 1, "gamma", 0),
+    ("bs-f2", 3, 3, "lambda_sum", 1),
+    ("cm-equiv", 3, 3, "lambda_sum", 1),
+])
+def test_wrong_parity_char_sum_raises(monkeypatch, theorem, p, n, sum_name, value):
+    monkeypatch.setattr(charsum, sum_name, lambda field: CharSumResult(value, 0.0, True))
+    with pytest.raises(InvariantError):
+        verify(make_field(p, n), theorem)
+
+
+@pytest.mark.parametrize("theorem,p,n,sum_name", [
+    ("ds-f3", 23, 1, "gamma"),
+    ("bs-f2", 3, 3, "lambda_sum"),
+    ("cm-equiv", 3, 3, "lambda_sum"),
+])
+def test_verify_computes_char_sum_once(monkeypatch, theorem, p, n, sum_name):
+    calls = []
+    original = getattr(charsum, sum_name)
+    monkeypatch.setattr(charsum, sum_name, lambda field: calls.append(field) or original(field))
+    report = verify(make_field(p, n), theorem)
+    assert report.match and len(calls) == 1
+    assert report.char_sum == original(make_field(p, n)).value
+
+
+_PARITY_GUARD_UNDER_O = """
+from ffbinom import charsum, predict
+from ffbinom.charsum import CharSumResult
+from ffbinom.errors import InvariantError
+from ffbinom.gf import make_field
+
+if __debug__:
+    raise SystemExit(2)
+charsum.gamma = lambda field: CharSumResult(0, 0.0, True)
+try:
+    predict.predict_ds_f3(make_field(23, 1))
+except InvariantError:
+    raise SystemExit(0)
+raise SystemExit(1)
+"""
+
+
+def test_parity_guard_survives_optimize():
+    src = str(Path(predict.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-O", "-c", _PARITY_GUARD_UNDER_O], env=env, timeout=120)
+    assert done.returncode == 0
 
 
 def test_verify_du_all_families_f11():
