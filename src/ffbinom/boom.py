@@ -2,12 +2,17 @@
 
 A pair (x, y) solves the a = 1 system iff F(x+1) - F(x) = F(y+1) - F(y), so
 grouping x by that shift-difference turns the whole b-profile into per-group
-pair-difference histograms.  The groups come from one sort of packed int64
-keys (difference, value).  Small groups are histogrammed pair by pair, over
-unordered pairs only, each difference binned together with its negation.
-The group of x with zero difference has about (q+1)/4 members for
-locally-APN inputs; its histogram is an autocorrelation over the additive
-group, computed by FFT in O(q log q) rather than O(s^2).
+pair-difference histograms.  The groups come from one sort of int64 keys
+that pack (difference, value) into bit fields.  Small groups are
+histogrammed pair by pair, over unordered pairs only, each difference binned
+together with its negation.  The group of x with zero difference has about
+(q+1)/4 members for locally-APN inputs; its histogram is an autocorrelation
+over the additive group, computed by FFT in O(q log q) rather than O(s^2).
+
+On F_p the shift x -> x + a is a rotation of the value table, and every
+difference is of canonical elements, so the prime-field path needs no gather
+and no integer division.  Shifts a and targets b are checked to be elements
+of [0, q) on entry, as u is.
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FFBinomError, InvariantError, UnsupportedUError, ZeroShiftError
-from .family import BinomialSpec, eval_table
-from .gf import Elt, FieldSpec
+from .family import BinomialSpec, _check_element, eval_table
+from .gf import TABLE_LIMIT, Elt, FieldSpec
 
 _BIJKL_KEYS = tuple(f"{i}{j}{k}{l}" for i in "01" for j in "01" for k in "01" for l in "01")
 
@@ -49,7 +54,9 @@ def _pair_keys(field: FieldSpec, fv: np.ndarray, f1: np.ndarray) -> np.ndarray:
 
 
 def _shifted(field: FieldSpec, fv: np.ndarray, a: Elt) -> np.ndarray:
-    # F(x + a) for every x
+    # F(x + a) for every x; on F_p, x + a is a rotation of the index by a
+    if field.n == 1:
+        return np.roll(fv, -a)
     if a == 1:
         return fv[field.succ_table]
     return fv[field.add_arrays(np.arange(field.q, dtype=np.int64), a)]
@@ -71,35 +78,43 @@ def beta_row(field: FieldSpec, spec: BinomialSpec, b: Elt) -> int:
     Counts matches of (F(x)-b, F(x+1)-b) against the multiset of points
     (F(y), F(y+1)) in one pass.
     """
+    _check_element(field, "b", b)
     return _beta_count(field, spec, 1, b)
+
+
+# bits of the low half of beta_profile's sort keys: every element is below
+# q <= TABLE_LIMIT = 2^24 (tables, and with them beta_profile, exist only up
+# to there), so a key d << 24 | F(x) is below 2^48
+_KEY_BITS = TABLE_LIMIT.bit_length() - 1
 
 
 def beta_profile(field: FieldSpec, spec: BinomialSpec, a: Elt = 1) -> np.ndarray:
     """beta(a, b) for every b at once via the shift-difference grouping.
 
-    x is grouped by d(x) = F(x+a) - F(x): one sort of the packed keys
-    d(x)*q + F(x) lists the values F(x) class by class, and nothing depends
-    on the order inside a class.  Classes with s*s <= q go together to the
-    pair kernel `_within_row_diff_hist`, at O(s^2) per class: it forms only
-    the s(s-1)/2 unordered pairs and bins each difference together with its
-    negation.  Larger classes (the zero-difference one dominates) go one by
-    one to the O(q log q) FFT autocorrelation of `FieldSpec.outer_diff_hist`.
+    x is grouped by d(x) = F(x+a) - F(x), where on F_p F(x+a) is the value
+    table rolled by -a.  One sort of the int64 keys d(x) << 24 | F(x) lists
+    the values F(x) class by class, and a shift and a mask split them again;
+    nothing depends on the order inside a class.  Classes with s*s <= q go
+    together to the pair kernel `_within_row_diff_hist`, at O(s^2) per class:
+    it forms only the s(s-1)/2 unordered pairs and bins each difference
+    together with its negation.  Larger classes (the zero-difference one
+    dominates) go one by one to the O(q log q) FFT autocorrelation of
+    `FieldSpec.outer_diff_hist`.
     Each ordered pair within a class lands in exactly one bin, so the
     profile must sum to sum_c delta(a, c)^2, the sum of the squared class
     sizes; InvariantError is raised otherwise.
     """
+    _check_element(field, "a", a)
     if a == 0:
         raise ZeroShiftError("a must be nonzero")
     q = field.q
     fv = eval_table(field, spec)
     d = field.sub_arrays(_shifted(field, fv, a), fv)
-    # one sort of the packed keys d(x)*q + F(x) lists the values class by
-    # class; both parts are below q, so a key is below q^2 <= 2^48 (tables,
-    # and with them this function, exist only for q <= TABLE_LIMIT = 2^24)
-    keys = d * q
-    keys += fv
+    keys = d << _KEY_BITS
+    keys |= fv
     keys.sort()
-    ds, grouped = np.divmod(keys, q)
+    ds = keys >> _KEY_BITS
+    grouped = np.bitwise_and(keys, (1 << _KEY_BITS) - 1, out=keys)
     starts = np.flatnonzero(np.r_[True, ds[1:] != ds[:-1]])
     sizes = np.r_[starts[1:], q] - starts
     small = sizes * sizes <= q
@@ -123,7 +138,9 @@ def _within_row_diff_hist(field: FieldSpec, values: np.ndarray, sizes: np.ndarra
     `values` holds runs of the given sizes back to back.  Only the pairs
     i < j are formed, and one of each pair's two differences is binned: the
     other is its negation, so the histogram is h(b) + h(-b), plus one zero
-    difference per value for i = j.
+    difference per value for i = j.  On F_p the negation is the reversal of
+    bins 1 .. q-1, and the zero bin (repeated values) is counted twice; on
+    F_{p^n} it is a flip and a shift by one of the (p,)*n reshape.
     """
     q, n = field.q, field.n
     # same[x]: positions x and x + 1 lie in one run
@@ -132,10 +149,15 @@ def _within_row_diff_hist(field: FieldSpec, values: np.ndarray, sizes: np.ndarra
     half = np.zeros(q, dtype=np.int64)
     for diffs in _pooled(_offset_pair_diffs(field, values, same), _PAIR_CHUNK):
         half += np.bincount(diffs, minlength=q)
-    # -b negates every base-p digit: j -> (p - j) % p along each axis of the
-    # (p,)*n reshape, which is a flip followed by a shift by one
-    hist = np.roll(np.flip(half.reshape((field.p,) * n)), 1, axis=tuple(range(n))).ravel()
-    hist += half
+    if n == 1:
+        hist = half.copy()
+        hist[1:] += half[:0:-1]
+        hist[0] += half[0]
+    else:
+        # -b negates every base-p digit: j -> (p - j) % p along each axis of
+        # the (p,)*n reshape, which is a flip followed by a shift by one
+        hist = np.roll(np.flip(half.reshape((field.p,) * n)), 1, axis=tuple(range(n))).ravel()
+        hist += half
     hist[0] += len(values)
     return hist
 
@@ -147,15 +169,15 @@ def _offset_pair_diffs(field: FieldSpec, values: np.ndarray, same: np.ndarray):
     i, t = np.flatnonzero(same), 1
     step = max(1, _PAIR_CHUNK // field.n)
     while len(i):
+        j = i + t
         for lo in range(0, len(i), step):
-            first = i[lo : lo + step]
-            a, b = values[first], values[first + t]
+            a, b = values[i[lo : lo + step]], values[j[lo : lo + step]]
             if field.n == 1:
                 # |b - a| is b - a or a - b, each in [0, q)
                 yield np.abs(b - a)
             else:
                 yield (field._digits[b] - field._digits[a]) % field.p @ field._pp
-        i = i[same[i + t]]
+        i = i[same[j]]
         t += 1
 
 
@@ -182,6 +204,8 @@ def boom_spectrum(field: FieldSpec, spec: BinomialSpec) -> BoomSpectrum:
 
 def beta_ab(field: FieldSpec, spec: BinomialSpec, a: Elt, b: Elt) -> int:
     """Solutions of F(x)-F(y) = b, F(x+a)-F(y+a) = b, for a != 0."""
+    _check_element(field, "a", a)
+    _check_element(field, "b", b)
     if a == 0:
         raise ZeroShiftError("a must be nonzero")
     return _beta_count(field, spec, a, b)
@@ -189,6 +213,7 @@ def beta_ab(field: FieldSpec, spec: BinomialSpec, a: Elt, b: Elt) -> int:
 
 def bijkl_counts(field: FieldSpec, spec: BinomialSpec, b: Elt) -> BijklCounts:
     """Solutions of the a = 1 system partitioned by (class(x), class(y))."""
+    _check_element(field, "b", b)
     if spec.u not in (1, field.minus_one):
         raise UnsupportedUError("class decomposition requires u = +-1")
     if b == 0:

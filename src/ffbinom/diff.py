@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError, UnsupportedUError, ZeroShiftError
-from .family import BinomialSpec, eval_table
+from .family import BinomialSpec, _check_element, eval_table
 from .gf import Elt, FieldSpec
 
 
@@ -63,6 +63,8 @@ def delta_row(field: FieldSpec, spec: BinomialSpec) -> np.ndarray:
 
 def delta_ab(field: FieldSpec, spec: BinomialSpec, a: Elt, b: Elt) -> int:
     """Number of x with F(x+a) - F(x) = b, for a != 0."""
+    _check_element(field, "a", a)
+    _check_element(field, "b", b)
     if a == 0:
         raise ZeroShiftError("a must be nonzero")
     fv = eval_table(field, spec)
@@ -72,7 +74,10 @@ def delta_ab(field: FieldSpec, spec: BinomialSpec, a: Elt, b: Elt) -> int:
 
 def diff_spectrum(field: FieldSpec, spec: BinomialSpec) -> DiffSpectrum:
     """Spectrum of the a = 1 row, with the identity checks folded in."""
-    row = delta_row(field, spec)
+    return _row_spectrum(field, delta_row(field, spec))
+
+
+def _row_spectrum(field: FieldSpec, row: np.ndarray) -> DiffSpectrum:
     counts = np.bincount(row)
     omega = {int(i): int(c) for i, c in enumerate(counts) if c}
     # sum_i omega_i counts every b once, sum_i i*omega_i every x once
@@ -83,6 +88,7 @@ def diff_spectrum(field: FieldSpec, spec: BinomialSpec) -> DiffSpectrum:
 
 def dij_counts(field: FieldSpec, spec: BinomialSpec, b: Elt) -> DijCounts:
     """Solutions of F(x+1) - F(x) = b partitioned by the class of x."""
+    _check_element(field, "b", b)
     if spec.u not in (1, field.minus_one):
         raise UnsupportedUError("class decomposition requires u = +-1")
     fv = eval_table(field, spec)
@@ -104,7 +110,10 @@ def locally_apn_check(field: FieldSpec, spec: BinomialSpec) -> LocallyApnReport:
     strict restricts b to F_q minus the prime subfield; star is the stronger
     all-nonzero-b form.
     """
-    row = delta_row(field, spec)
+    return _row_locally_apn(field, delta_row(field, spec))
+
+
+def _row_locally_apn(field: FieldSpec, row: np.ndarray) -> LocallyApnReport:
     return LocallyApnReport(
         strict=bool(row[field.p :].max(initial=0) <= 2),
         star=bool(row[1:].max(initial=0) <= 2),

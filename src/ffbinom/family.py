@@ -48,14 +48,16 @@ def reduce_exponent(field: FieldSpec, r: int) -> int:
     return field.q - 1 if rr == 0 else rr
 
 
-def _check_u(field: FieldSpec, spec: BinomialSpec) -> None:
-    if not 0 <= spec.u < field.q:
-        raise FFBinomError(f"u = {spec.u} is not an element of F_{field.q}")
+def _check_element(field: FieldSpec, name: str, x: Elt) -> None:
+    # the bulk paths index tables and rotate arrays by elements, so an
+    # integer outside [0, q) would silently act as its residue or fail late
+    if not 0 <= x < field.q:
+        raise FFBinomError(f"{name} = {x} is not an element of F_{field.q}")
 
 
 def evaluate(field: FieldSpec, spec: BinomialSpec, x: Elt) -> Elt:
     """Value of x^r * (1 + u*chi(x)), with 0 mapping to 0."""
-    _check_u(field, spec)
+    _check_element(field, "u", spec.u)
     if x == 0:
         return 0
     c = field.chi(x)
@@ -71,7 +73,7 @@ def eval_table(field: FieldSpec, spec: BinomialSpec) -> np.ndarray:
     on non-squares (k odd).  A factor of 0 (u = -1 or u = 1) zeroes that half
     of the field, and 0 maps to 0.
     """
-    _check_u(field, spec)
+    _check_element(field, "u", spec.u)
     field._require_tables()
     m = field.q - 1
     factors = (field.add(1, spec.u), field.sub(1, spec.u))

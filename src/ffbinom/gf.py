@@ -455,9 +455,16 @@ class FieldSpec:
         return ((self._digits[a] + self._digits[b]) % self.p) @ self._pp
 
     def sub_arrays(self, a, b) -> np.ndarray:
-        """Elementwise field subtraction of encoded arrays."""
+        """Elementwise field subtraction of encoded arrays (either may be a scalar).
+
+        Both operands must be canonical, in [0, q): on F_p the difference is
+        then in (-q, q), and adding q where it is negative reduces it without
+        a division.  Out-of-range operands give wrong results, not errors.
+        """
         if self.n == 1:
-            return (a - b) % self.q
+            d = np.subtract(a, b)
+            d += self.q * (d < 0)
+            return d
         return ((self._digits[a] - self._digits[b]) % self.p) @ self._pp
 
     def mul_arrays(self, a: np.ndarray, b) -> np.ndarray:

@@ -160,6 +160,15 @@ def _du_exponent(field: FieldSpec, r: int | None) -> int:
     return r
 
 
+def _du_oracle(field: FieldSpec, spec: BinomialSpec) -> dict:
+    # the uniformity and the locally-APN flag read the same difference row
+    row = diff.delta_row(field, spec)
+    return {
+        "delta": diff._row_spectrum(field, row).uniformity,
+        "locally_apn_star": diff._row_locally_apn(field, row).star,
+    }
+
+
 def _diff_oracle(field: FieldSpec, spec: BinomialSpec) -> dict:
     return {"omega": diff.diff_spectrum(field, spec).omega}
 
@@ -196,10 +205,7 @@ _TABLE = {
     "du": _Theorem(
         3, lambda q: q + 4, _du_exponent,
         lambda f, spec: (asdict(predict_du(f, spec.r)), None),
-        lambda f, spec: {
-            "delta": diff.diff_spectrum(f, spec).uniformity,
-            "locally_apn_star": diff.locally_apn_check(f, spec).star,
-        },
+        _du_oracle,
     ),
     "ds-f3": _Theorem(
         11, lambda q: q + 12, lambda f, r: 3,

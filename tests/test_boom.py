@@ -4,8 +4,8 @@ import pytest
 from ffbinom import boom
 from ffbinom.boom import beta_ab, beta_profile, beta_row, bijkl_counts, boom_spectrum
 from ffbinom.errors import FFBinomError, InvariantError, UnsupportedUError, ZeroShiftError
-from ffbinom.family import BinomialSpec
-from ffbinom.gf import FieldSpec, make_field
+from ffbinom.family import BinomialSpec, eval_table
+from ffbinom.gf import TABLE_LIMIT, FieldSpec, make_field
 
 from naive_oracles import naive_beta_count, pairwise_diff_hist, reduced_index
 
@@ -91,6 +91,75 @@ def test_within_row_diff_hist_matches_pairwise(monkeypatch, p, n, chunk):
     sizes = np.array([len(row) for row in rows])
     expected = sum(pairwise_diff_hist(f, row) for row in rows)
     assert (boom._within_row_diff_hist(f, values, sizes) == expected).all()
+
+
+@pytest.mark.parametrize(
+    "p,r,u,repeats",
+    [(11, 3, 1, True), (13, 2, 1, True), (101, 4, 1, True), (103, 3, 1, True), (1019, 5, 3, False)],
+)
+def test_beta_profile_matches_beta_ab_prime_field(monkeypatch, p, r, u, repeats):
+    # the rotation shift, canonical subtraction, key packing and the F_p
+    # negation fold against beta_ab, for a = 1, 2 and q - 1; with u = 1 a
+    # small class repeats F-values (F is 0 on the non-squares), so the zero
+    # bin gets off-diagonal pairs and must count them twice
+    f = make_field(p, 1)
+    spec = BinomialSpec(r, u)
+    within = boom._within_row_diff_hist
+    repeated = []
+
+    def spy(field, values, sizes):
+        for run in np.split(values, np.cumsum(sizes)[:-1]):
+            repeated.append(len(np.unique(run)) < len(run))
+        return within(field, values, sizes)
+
+    monkeypatch.setattr(boom, "_within_row_diff_hist", spy)
+    for a in (1, 2, f.q - 1):
+        repeated.clear()
+        profile = beta_profile(f, spec, a)
+        assert any(repeated) == repeats
+        assert profile.tolist() == [beta_ab(f, spec, a, b) for b in f.elements()]
+
+
+@pytest.mark.parametrize("p,n", [(11, 1), (1019, 1), (3, 2), (5, 3)])
+def test_shifted_is_value_at_x_plus_a(p, n):
+    # beta(-a, b) = beta(a, b), so the profiles alone cannot tell the
+    # direction of the F_p rotation apart
+    f = make_field(p, n)
+    fv = eval_table(f, BinomialSpec(5, 2))
+    for a in (1, 2, f.q - 1):
+        assert boom._shifted(f, fv, a).tolist() == [int(fv[f.add(x, a)]) for x in f.elements()]
+
+
+def test_key_bits_fit_every_table_field():
+    # beta_profile packs d << s | F(x) into int64: every element fits in the
+    # low s bits, and the whole key stays below 2^62
+    s = boom._KEY_BITS
+    assert TABLE_LIMIT - 1 < 1 << s
+    assert 2 * s <= 62
+
+
+@pytest.mark.parametrize("p,n", [(11, 1), (3, 2)])
+def test_shift_and_target_must_be_field_elements(p, n):
+    # q, q + 1 and -1 are not elements: on F_11, a = 11 gave the zero-shift
+    # profile and a = 12 acted as a = 1; on F_9, a = 9 raised IndexError
+    f = make_field(p, n)
+    spec = BinomialSpec(3, 1)
+    for a in (f.q, f.q + 1, -1):
+        with pytest.raises(FFBinomError, match="a = "):
+            beta_profile(f, spec, a)
+        with pytest.raises(FFBinomError, match="a = "):
+            beta_ab(f, spec, a, 1)
+    for b in (f.q, -1):
+        with pytest.raises(FFBinomError, match="b = "):
+            beta_row(f, spec, b)
+        with pytest.raises(FFBinomError, match="b = "):
+            beta_ab(f, spec, 1, b)
+        with pytest.raises(FFBinomError, match="b = "):
+            bijkl_counts(f, spec, b)
+    with pytest.raises(ZeroShiftError):
+        beta_profile(f, spec, 0)
+    top = f.q - 1
+    assert beta_profile(f, spec, top)[top] == beta_ab(f, spec, top, top) == naive_beta_count(f, spec, top, top)
 
 
 def test_beta_diagonal_at_zero():
@@ -230,8 +299,6 @@ def test_bijkl_boundary_only_zero_coordinate(p, n, r):
     # y = 0, never -1; verified against a naive enumeration
     f = make_field(p, n)
     spec = BinomialSpec(r, 1)
-    from ffbinom.family import eval_table
-
     fv = eval_table(f, spec)
     f1 = fv[f.succ_table]
     for b in range(1, f.q):

@@ -15,7 +15,7 @@ from ffbinom.diff import (
     dij_counts,
     locally_apn_check,
 )
-from ffbinom.errors import InvariantError, UnsupportedUError, ZeroShiftError
+from ffbinom.errors import FFBinomError, InvariantError, UnsupportedUError, ZeroShiftError
 from ffbinom.family import BinomialSpec, eval_table, table1_exponents
 from ffbinom.gf import make_field
 
@@ -121,6 +121,28 @@ def test_delta_ab_basics():
         assert delta_ab(f, spec, 1, b) == row[b]
     with pytest.raises(ZeroShiftError):
         delta_ab(f, spec, 0, 1)
+
+
+@pytest.mark.parametrize("p,n", [(11, 1), (3, 2)])
+def test_shift_and_target_must_be_field_elements(p, n):
+    # q, q + 1 and -1 are not elements; they used to act as residues or to
+    # raise a bare IndexError
+    f = make_field(p, n)
+    spec = BinomialSpec(3, 1)
+    for a in (f.q, f.q + 1, -1):
+        with pytest.raises(FFBinomError, match="a = "):
+            delta_ab(f, spec, a, 1)
+    for b in (f.q, -1):
+        with pytest.raises(FFBinomError, match="b = "):
+            delta_ab(f, spec, 1, b)
+        with pytest.raises(FFBinomError, match="b = "):
+            dij_counts(f, spec, b)
+    with pytest.raises(ZeroShiftError):
+        delta_ab(f, spec, 0, 1)
+    # the largest element is still accepted on both sides
+    fv = eval_table(f, spec)
+    top = f.q - 1
+    assert delta_ab(f, spec, top, top) == sum(f.sub(int(fv[f.add(x, top)]), int(fv[x])) == top for x in f.elements())
 
 
 @pytest.mark.parametrize("p,n,r", [(11, 1, 3), (3, 3, 2), (3, 5, 2), (11, 1, 7)])

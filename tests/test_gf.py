@@ -259,6 +259,22 @@ def test_array_helpers_match_scalars():
         assert f.succ_table.tolist() == [f.add(x, 1) for x in xs]
 
 
+@pytest.mark.parametrize("q", [3, 11, 1019, 16_777_259])
+def test_sub_arrays_prime_field_edges(q):
+    # F_p subtraction adds q to negative differences: scalars on either side,
+    # 0, q - 1 and a = b against the scalar sub (16777259 has no tables, and
+    # needs none for this)
+    f = FieldSpec(q, 1)
+    edges = np.array([0, 1, 2 % q, q - 2, q - 1], dtype=np.int64)
+    xs = np.unique(np.r_[edges, np.random.default_rng(q).integers(0, q, 20)])
+    for a in xs.tolist():
+        assert f.sub_arrays(a, xs).tolist() == [f.sub(a, x) for x in xs.tolist()]
+        assert f.sub_arrays(xs, a).tolist() == [f.sub(x, a) for x in xs.tolist()]
+    assert not f.sub_arrays(xs, xs).any()
+    assert f.sub_arrays(xs, xs[::-1]).tolist() == [f.sub(a, b) for a, b in zip(xs.tolist(), xs[::-1].tolist())]
+    assert f.sub_arrays(0, q - 1) == 1 and f.sub_arrays(q - 1, 0) == q - 1
+
+
 def test_mul_arrays_zero_operands():
     for p, n in [(11, 1), (3, 3)]:
         f = make_field(p, n)

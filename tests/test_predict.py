@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ffbinom import charsum, predict
+from ffbinom import charsum, diff, predict
 from ffbinom.boom import boom_spectrum
 from ffbinom.charsum import CharSumResult
 from ffbinom.diff import diff_spectrum
@@ -188,6 +188,26 @@ def test_verify_du_prime_power_field():
         report = verify(f, "du", fam.r)
         assert report.match
         assert report.predicted["delta"] == (f.q + 1) // 4 == 86
+
+
+@pytest.mark.parametrize("p,n,r", [(11, 1, 3), (23, 1, 15), (7, 3, 8)])
+def test_verify_du_builds_one_difference_row(monkeypatch, p, n, r):
+    # the uniformity and the locally-APN flag share one delta_row, and the
+    # spectrum's identity check still guards it
+    calls = []
+    row = diff.delta_row
+    monkeypatch.setattr(diff, "delta_row", lambda field, spec: calls.append(spec) or row(field, spec))
+    report = verify(make_field(p, n), "du", r)
+    assert report.match and len(calls) == 1
+
+    def corrupted(field, spec):
+        out = row(field, spec)
+        out[1] += 1
+        return out
+
+    monkeypatch.setattr(diff, "delta_row", corrupted)
+    with pytest.raises(InvariantError):
+        verify(make_field(p, n), "du", r)
 
 
 def test_verify_du_needs_r():

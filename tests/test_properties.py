@@ -1,0 +1,53 @@
+"""Property checks of the boomerang kernels on random small fields.
+
+Fields are F_{p^n} with p <= 31 and q <= 3^7.  Examples are derandomized
+and bounded, so every run checks the same inputs.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ffbinom import boom
+from ffbinom.boom import beta_ab, beta_profile
+from ffbinom.family import BinomialSpec
+from ffbinom.gf import is_prime, make_field
+
+from naive_oracles import pairwise_diff_hist
+
+_FIELDS = [(p, n) for p in range(3, 32) if is_prime(p) for n in range(1, 8) if p**n <= 3**7]
+
+_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+
+@st.composite
+def fields(draw):
+    return make_field(*draw(st.sampled_from(_FIELDS)))
+
+
+@_SETTINGS
+@given(data=st.data())
+def test_beta_profile_matches_beta_ab(data):
+    f = data.draw(fields())
+    spec = BinomialSpec(data.draw(st.integers(1, 2 * f.q)), data.draw(st.integers(0, f.q - 1)))
+    a = data.draw(st.integers(1, f.q - 1))
+    profile = beta_profile(f, spec, a)
+    # beta_ab makes one q-long pass per b: check b = 0, the largest entry and
+    # a few drawn targets
+    bs = {0, int(profile[1:].argmax()) + 1, *data.draw(st.lists(st.integers(0, f.q - 1), max_size=4))}
+    for b in bs:
+        assert profile[b] == beta_ab(f, spec, a, b)
+
+
+@_SETTINGS
+@given(data=st.data())
+def test_within_row_diff_hist_matches_pairwise(data):
+    f = data.draw(fields())
+    element = st.integers(0, f.q - 1)
+    # short runs drawn from a few values, so that they repeat inside a run
+    pool = data.draw(st.lists(element, min_size=1, max_size=6))
+    runs = data.draw(st.lists(st.lists(st.sampled_from(pool) | element, min_size=1, max_size=30), min_size=1, max_size=8))
+    values = np.array([v for run in runs for v in run], dtype=np.int64)
+    sizes = np.array([len(run) for run in runs])
+    expected = sum(pairwise_diff_hist(f, np.array(run, dtype=np.int64)) for run in runs)
+    assert (boom._within_row_diff_hist(f, values, sizes) == expected).all()
