@@ -82,10 +82,10 @@ def beta_row(field: FieldSpec, spec: BinomialSpec, b: Elt) -> int:
     return _beta_count(field, spec, 1, b)
 
 
-# bits of the low half of beta_profile's sort keys: every element is below
-# q <= TABLE_LIMIT = 2^24 (tables, and with them beta_profile, exist only up
-# to there), so a key d << 24 | F(x) is below 2^48
-_KEY_BITS = TABLE_LIMIT.bit_length() - 1
+# bits of the low half of beta_profile's sort keys: every element is at most
+# TABLE_LIMIT - 1 (tables, and with them beta_profile, exist only up to
+# there), which fits in 24 bits, so a key d << 24 | F(x) is below 2^48
+_KEY_BITS = (TABLE_LIMIT - 1).bit_length()
 
 
 def beta_profile(field: FieldSpec, spec: BinomialSpec, a: Elt = 1) -> np.ndarray:
@@ -138,9 +138,7 @@ def _within_row_diff_hist(field: FieldSpec, values: np.ndarray, sizes: np.ndarra
     `values` holds runs of the given sizes back to back.  Only the pairs
     i < j are formed, and one of each pair's two differences is binned: the
     other is its negation, so the histogram is h(b) + h(-b), plus one zero
-    difference per value for i = j.  On F_p the negation is the reversal of
-    bins 1 .. q-1, and the zero bin (repeated values) is counted twice; on
-    F_{p^n} it is a flip and a shift by one of the (p,)*n reshape.
+    difference per value for i = j.
     """
     q, n = field.q, field.n
     # same[x]: positions x and x + 1 lie in one run
@@ -149,15 +147,10 @@ def _within_row_diff_hist(field: FieldSpec, values: np.ndarray, sizes: np.ndarra
     half = np.zeros(q, dtype=np.int64)
     for diffs in _pooled(_offset_pair_diffs(field, values, same), _PAIR_CHUNK):
         half += np.bincount(diffs, minlength=q)
-    if n == 1:
-        hist = half.copy()
-        hist[1:] += half[:0:-1]
-        hist[0] += half[0]
-    else:
-        # -b negates every base-p digit: j -> (p - j) % p along each axis of
-        # the (p,)*n reshape, which is a flip followed by a shift by one
-        hist = np.roll(np.flip(half.reshape((field.p,) * n)), 1, axis=tuple(range(n))).ravel()
-        hist += half
+    # -b negates every base-p digit: j -> (p - j) % p along each axis of the
+    # (p,)*n reshape, which is a flip followed by a shift by one
+    hist = np.roll(np.flip(half.reshape((field.p,) * n)), 1, axis=tuple(range(n))).ravel()
+    hist += half
     hist[0] += len(values)
     return hist
 

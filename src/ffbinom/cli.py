@@ -130,8 +130,10 @@ def _cmd_spectrum(parser, args) -> int:
     try:
         spec = BinomialSpec(args.r, args.u % fld.p if args.u < 0 else args.u)
         if args.kind == "diff":
-            spectrum = diff.diff_spectrum(fld, spec)
-            report = diff.locally_apn_check(fld, spec)
+            # the spectrum and the locally-APN flags read the same row
+            row = diff.delta_row(fld, spec)
+            spectrum = diff._row_spectrum(fld, row)
+            report = diff._row_locally_apn(fld, row)
         else:
             spectrum = boom.boom_spectrum(fld, spec)
     except FFBinomError as exc:

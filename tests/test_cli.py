@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from ffbinom import cli, family, predict
+from ffbinom import cli, diff, family, predict
+from ffbinom.gf import make_field
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -67,6 +68,17 @@ def test_spectrum_diff_negative_u(capsys):
     payload = json.loads(out)
     assert payload["u"] == 10
     assert payload["omega"] == {"0": 2, "1": 8, "3": 1}
+
+
+def test_spectrum_diff_builds_one_difference_row(capsys, monkeypatch):
+    # the spectrum and the locally-APN flags share one delta_row
+    calls = []
+    row = diff.delta_row
+    monkeypatch.setattr(diff, "delta_row", lambda field, spec: calls.append(spec) or row(field, spec))
+    code, out = run_cli(capsys, "spectrum", "diff", "--p", "3", "--n", "3", "--r", "5", "--u", "2")
+    assert code == 0 and len(calls) == 1
+    omega = row(make_field(3, 3), calls[0]).tolist()
+    assert json.loads(out)["omega"] == {str(i): omega.count(i) for i in sorted(set(omega))}
 
 
 def test_spectrum_boom_schema(capsys):

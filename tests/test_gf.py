@@ -275,6 +275,15 @@ def test_sub_arrays_prime_field_edges(q):
     assert f.sub_arrays(0, q - 1) == 1 and f.sub_arrays(q - 1, 0) == q - 1
 
 
+def test_sub_arrays_needs_canonical_operands_add_arrays_does_not():
+    # the F_p contract: add_arrays reduces any integers, sub_arrays reduces
+    # only differences of elements of [0, q), so q + 1 - 0 stays q + 1
+    f = FieldSpec(11, 1)
+    assert f.add_arrays(np.array([12, -1, 23]), 0).tolist() == [1, 10, 1]
+    assert f.sub_arrays(np.array([12, 5]), 0).tolist() == [12, 5]
+    assert f.sub_arrays(np.array([0]), 12).tolist() == [-1]
+
+
 def test_mul_arrays_zero_operands():
     for p, n in [(11, 1), (3, 3)]:
         f = make_field(p, n)
