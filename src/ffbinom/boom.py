@@ -5,9 +5,12 @@ grouping x by that shift-difference turns the whole b-profile into per-group
 pair-difference histograms.  The groups come from one sort of int64 keys
 that pack (difference, value) into bit fields.  Small groups are
 histogrammed pair by pair, over unordered pairs only, each difference binned
-together with its negation.  The group of x with zero difference has about
-(q+1)/4 members for locally-APN inputs; its histogram is an autocorrelation
-over the additive group, computed by FFT in O(q log q) rather than O(s^2).
+together with its negation.  Large groups go to FieldSpec.outer_diff_hist,
+whose cost follows their distinct values: the group of x with zero
+difference has about (q+1)/4 members for locally-APN inputs, but with
+u = +-1 only one or two distinct values, and is histogrammed over those
+values' pairs; only a group with more than sqrt(q) distinct values pays for
+an FFT autocorrelation over the additive group, in O(q log q).
 
 On F_p the shift x -> x + a is a rotation of the value table, and every
 difference is of canonical elements, so the prime-field path needs no gather
@@ -23,14 +26,18 @@ import numpy as np
 
 from .errors import FFBinomError, InvariantError, UnsupportedUError, ZeroShiftError
 from .family import BinomialSpec, _check_element, eval_table
-from .gf import TABLE_LIMIT, Elt, FieldSpec
+from .gf import _PAIR_CHUNK, TABLE_LIMIT, Elt, FieldSpec
 
 _BIJKL_KEYS = tuple(f"{i}{j}{k}{l}" for i in "01" for j in "01" for k in "01" for l in "01")
 
 
-@dataclass
+@dataclass(slots=True)
 class BoomSpectrum:
-    """Multiplicities nu_i = #{b != 0 : beta(1, b) = i}."""
+    """Multiplicities nu_i = #{b != 0 : beta(1, b) = i}.
+
+    Slotted, so a caller that keeps many spectra holds no per-instance
+    __dict__.
+    """
 
     nu: dict[int, int]
     uniformity: int
@@ -97,9 +104,11 @@ def beta_profile(field: FieldSpec, spec: BinomialSpec, a: Elt = 1) -> np.ndarray
     nothing depends on the order inside a class.  Classes with s*s <= q go
     together to the pair kernel `_within_row_diff_hist`, at O(s^2) per class:
     it forms only the s(s-1)/2 unordered pairs and bins each difference
-    together with its negation.  Larger classes (the zero-difference one
-    dominates) go one by one to the O(q log q) FFT autocorrelation of
-    `FieldSpec.outer_diff_hist`.
+    together with its negation, and finds the runs from the same mask of
+    equal neighbouring differences that splits the classes.  Larger classes
+    (the zero-difference one dominates) go one by one to
+    `FieldSpec.outer_diff_hist`, which costs O(k^2 + q) for k*k <= q
+    distinct values and O(q log q) by FFT above that.
     Each ordered pair within a class lands in exactly one bin, so the
     profile must sum to sum_c delta(a, c)^2, the sum of the squared class
     sizes; InvariantError is raised otherwise.
@@ -115,35 +124,35 @@ def beta_profile(field: FieldSpec, spec: BinomialSpec, a: Elt = 1) -> np.ndarray
     keys.sort()
     ds = keys >> _KEY_BITS
     grouped = np.bitwise_and(keys, (1 << _KEY_BITS) - 1, out=keys)
-    starts = np.flatnonzero(np.r_[True, ds[1:] != ds[:-1]])
-    sizes = np.r_[starts[1:], q] - starts
+    # same[x]: positions x and x + 1 lie in one class
+    same = np.zeros(q, dtype=bool)
+    np.equal(ds[1:], ds[:-1], out=same[:-1])
+    ends = np.flatnonzero(~same) + 1
+    sizes = np.diff(ends, prepend=0)
     small = sizes * sizes <= q
-    runs = grouped if small.all() else grouped[np.repeat(small, sizes)]
-    profile = _within_row_diff_hist(field, runs, sizes[small])
+    if small.all():
+        profile = _within_row_diff_hist(field, grouped, same)
+    else:
+        keep = np.repeat(small, sizes)
+        profile = _within_row_diff_hist(field, grouped[keep], same[keep])
     for c in np.flatnonzero(~small):
-        profile += field.outer_diff_hist(grouped[starts[c] : starts[c] + sizes[c]])
+        profile += field.outer_diff_hist(grouped[ends[c] - sizes[c] : ends[c]])
     pairs = int((sizes * sizes).sum())
     if int(profile.sum()) != pairs:
         raise InvariantError(f"boomerang profile sums to {int(profile.sum())}, not {pairs} = sum of squared class sizes")
     return profile
 
 
-# pair differences per bincount in _within_row_diff_hist
-_PAIR_CHUNK = 1 << 20
-
-
-def _within_row_diff_hist(field: FieldSpec, values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+def _within_row_diff_hist(field: FieldSpec, values: np.ndarray, same: np.ndarray) -> np.ndarray:
     """Histogram of v_i - v_j over all ordered pairs (i, j) inside each run.
 
-    `values` holds runs of the given sizes back to back.  Only the pairs
-    i < j are formed, and one of each pair's two differences is binned: the
-    other is its negation, so the histogram is h(b) + h(-b), plus one zero
+    `values` holds runs back to back, and same[x] tells whether positions x
+    and x + 1 lie in one run (so same[-1] is False).  Only the pairs i < j
+    are formed, and one of each pair's two differences is binned: the other
+    is its negation, so the histogram is h(b) + h(-b), plus one zero
     difference per value for i = j.
     """
     q, n = field.q, field.n
-    # same[x]: positions x and x + 1 lie in one run
-    same = np.ones(len(values), dtype=bool)
-    same[np.cumsum(sizes) - 1] = False
     half = np.zeros(q, dtype=np.int64)
     for diffs in _pooled(_offset_pair_diffs(field, values, same), _PAIR_CHUNK):
         half += np.bincount(diffs, minlength=q)

@@ -35,6 +35,10 @@ TABLE_LIMIT = 1 << 24
 # O(_BUILD_CHUNK * n) whatever q is, and 2^16 rows measured faster than 2^18.
 _BUILD_CHUNK = 1 << 16
 
+# Differences per pass of the pair-difference kernels (outer_diff_hist and
+# the boomerang small-class kernel): on F_{p^n} each one is n int16 digits.
+_PAIR_CHUNK = 1 << 20
+
 _MAX_ORDER = 1 << 63
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -491,27 +495,43 @@ class FieldSpec:
     def outer_diff_hist(self, values: np.ndarray) -> np.ndarray:
         """Histogram of v_i - v_j over all ordered pairs of an encoded array.
 
-        Returns a length-q count array indexed by the encoded difference, in
-        O(q log q) whatever the length of `values`.  The histogram is the
-        autocorrelation of the multiplicity array of `values` on the additive
-        group (Z/p)^n: in C order the base-p encoding is exactly an array of
-        shape (p,)*n, on which field addition is a cyclic shift per axis.
-        Rounding is checked: a bin off an integer by more than 0.25, or a
-        total other than len(values)**2, raises InvariantError.
+        Returns a length-q count array indexed by the encoded difference.
+        With k distinct values of multiplicities m, a k*k <= q input is
+        histogrammed over its k^2 ordered pairs of distinct values, each
+        difference weighted by m_i * m_j; float64 weights are exact, since no
+        bin exceeds len(values)**2 <= q^2 < 2^53.  Otherwise the histogram is
+        the autocorrelation of the multiplicity array on the additive group
+        (Z/p)^n, by FFT in O(q log q): in C order the base-p encoding is
+        exactly an array of shape (p,)*n, on which field addition is a cyclic
+        shift per axis, and a bin off an integer by more than 0.25 raises
+        InvariantError.  On either path a total other than len(values)**2
+        raises InvariantError.
         """
         m = len(values)
         if m == 0:
             return np.zeros(self.q, dtype=np.int64)
-        shape = (self.p,) * self.n
-        axes = tuple(range(self.n))
-        counts = np.bincount(values, minlength=self.q).reshape(shape)
-        spec = np.fft.rfftn(counts, axes=axes)
-        power = spec.real**2 + spec.imag**2
-        exact = np.fft.irfftn(power, s=shape, axes=axes).ravel()
-        hist = np.rint(exact)
-        if np.abs(exact - hist).max() > 0.25:
-            raise InvariantError(f"pair-difference histogram off an integer by more than 0.25 on q = {self.q}")
-        hist = hist.astype(np.int64)
+        counts = np.bincount(values, minlength=self.q)
+        distinct = np.flatnonzero(counts)
+        k = len(distinct)
+        if k * k <= self.q:
+            mult = counts[distinct]
+            exact = np.zeros(self.q)
+            rows = max(1, _PAIR_CHUNK // (k * self.n))
+            for lo in range(0, k, rows):
+                diffs = self.sub_arrays(distinct[lo : lo + rows, None], distinct)
+                weights = mult[lo : lo + rows, None] * mult
+                exact += np.bincount(diffs.ravel(), weights.ravel(), minlength=self.q)
+            hist = exact.astype(np.int64)
+        else:
+            shape = (self.p,) * self.n
+            axes = tuple(range(self.n))
+            spec = np.fft.rfftn(counts.reshape(shape), axes=axes)
+            power = spec.real**2 + spec.imag**2
+            exact = np.fft.irfftn(power, s=shape, axes=axes).ravel()
+            hist = np.rint(exact)
+            if np.abs(exact - hist).max() > 0.25:
+                raise InvariantError(f"pair-difference histogram off an integer by more than 0.25 on q = {self.q}")
+            hist = hist.astype(np.int64)
         if int(hist.sum()) != m * m:
             raise InvariantError(f"pair-difference histogram sums to {int(hist.sum())}, not {m * m}")
         return hist

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 from . import diff, family
@@ -132,6 +131,11 @@ def scan_exponents(field: FieldSpec, r_min: int, r_max: int, jobs: int = 1) -> l
             (p, n, lo, min(lo + step - 1, r_max), r_min, r_max)
             for lo in range(r_min, r_max + 1, step)
         ]
+        # imported here: concurrent.futures and multiprocessing add about
+        # 2 MB to every process that imports ffbinom, and only parallel
+        # scans need them
+        from concurrent.futures import ProcessPoolExecutor
+
         results = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for part in pool.map(_scan_chunk, *zip(*chunks)):

@@ -61,7 +61,8 @@ def pairwise_diff_hist(field: FieldSpec, values: np.ndarray) -> np.ndarray:
     """Histogram of v_i - v_j with every ordered pair formed explicitly.
 
     Digit-wise subtraction in row chunks, so memory stays bounded; the
-    reference for the FFT kernel FieldSpec.outer_diff_hist.
+    reference for FieldSpec.outer_diff_hist and the boomerang small-class
+    kernel.
     """
     hist = np.zeros(field.q, dtype=np.int64)
     m = len(values)
@@ -80,6 +81,16 @@ def pairwise_diff_hist(field: FieldSpec, values: np.ndarray) -> np.ndarray:
             enc = d.reshape(-1, field.n) @ field._pp
             hist += np.bincount(enc, minlength=field.q)
     return hist
+
+
+def packed_runs(runs) -> tuple[np.ndarray, np.ndarray]:
+    """Runs of encoded values back to back, with the mask same[x] that tells
+    whether positions x and x + 1 lie in one run: the input layout of the
+    boomerang small-class kernel."""
+    values = np.concatenate([np.asarray(run, dtype=np.int64) for run in runs])
+    same = np.ones(len(values), dtype=bool)
+    same[np.cumsum([len(run) for run in runs]) - 1] = False
+    return values, same
 
 
 def reduced_index(field: FieldSpec, spec: BinomialSpec, a: int, b: int, beta: bool) -> int:

@@ -7,7 +7,7 @@ from ffbinom.errors import FFBinomError, InvariantError, UnsupportedUError, Zero
 from ffbinom.family import BinomialSpec, eval_table
 from ffbinom.gf import TABLE_LIMIT, FieldSpec, make_field
 
-from naive_oracles import naive_beta_count, pairwise_diff_hist, reduced_index
+from naive_oracles import naive_beta_count, packed_runs, pairwise_diff_hist, reduced_index
 
 
 @pytest.mark.parametrize("p,n,r", [(11, 1, 3), (3, 3, 2)])
@@ -49,6 +49,24 @@ def test_beta_profile_matches_beta_row(monkeypatch, p, n, r, u, fft_classes):
         assert profile[b] == beta_row(f, spec, b)
 
 
+@pytest.mark.parametrize("p,n,r,u,fft", [(3, 7, 2, 1, False), (3, 7, 2, 2, False), (13, 3, 5, 1, False), (13, 3, 5, 12, False), (3, 4, 3, 0, True)])
+def test_fft_only_for_many_distinct_values(monkeypatch, p, n, r, u, fft):
+    # the zero-difference class of u = +-1 (-1 is encoded as p - 1) holds
+    # one or two distinct values and never reaches the FFT; u = 0 with a linear r is one class of q
+    # distinct values, which does
+    f = make_field(p, n)
+    calls = []
+    rfftn = np.fft.rfftn
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return rfftn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfftn", spy)
+    beta_profile(f, BinomialSpec(r, u))
+    assert bool(calls) == fft
+
+
 def test_beta_profile_matches_beta_row_generic_u_near_1e4(monkeypatch):
     # generic u on a prime near 10^4: every class is small, so the whole
     # profile comes from the packed-key grouping and the pair kernel
@@ -86,11 +104,9 @@ def test_within_row_diff_hist_matches_pairwise(monkeypatch, p, n, chunk):
         monkeypatch.setattr(boom, "_PAIR_CHUNK", chunk)
     rows = _runs_with_repeats(f, np.random.default_rng(p**n))
     for row in rows:
-        assert (boom._within_row_diff_hist(f, row, [len(row)]) == pairwise_diff_hist(f, row)).all()
-    values = np.concatenate(rows)
-    sizes = np.array([len(row) for row in rows])
+        assert (boom._within_row_diff_hist(f, *packed_runs([row])) == pairwise_diff_hist(f, row)).all()
     expected = sum(pairwise_diff_hist(f, row) for row in rows)
-    assert (boom._within_row_diff_hist(f, values, sizes) == expected).all()
+    assert (boom._within_row_diff_hist(f, *packed_runs(rows)) == expected).all()
 
 
 @pytest.mark.parametrize(
@@ -107,10 +123,10 @@ def test_beta_profile_matches_beta_ab_prime_field(monkeypatch, p, r, u, repeats)
     within = boom._within_row_diff_hist
     repeated = []
 
-    def spy(field, values, sizes):
-        for run in np.split(values, np.cumsum(sizes)[:-1]):
+    def spy(field, values, same):
+        for run in np.split(values, np.flatnonzero(~same[:-1]) + 1):
             repeated.append(len(np.unique(run)) < len(run))
-        return within(field, values, sizes)
+        return within(field, values, same)
 
     monkeypatch.setattr(boom, "_within_row_diff_hist", spy)
     for a in (1, 2, f.q - 1):

@@ -148,6 +148,13 @@ def test_verify_mismatch_exits_2(capsys, monkeypatch):
     ("verify --theorem cm-equiv --qmax 243", "verify_cm-equiv_qmax243.json"),
     ("tables --which ds-f3", "tables_ds-f3.csv"),
     ("tables --which bs-f2", "tables_bs-f2.csv"),
+    # a 547-member class with one value; k = 1, 5, 5 in three large classes;
+    # u = 0 with a linear r, which still reaches the FFT
+    ("spectrum boom --p 3 --n 7 --r 2 --u 1", "spectrum_boom_3_7_2_1.json"),
+    ("spectrum boom --p 13 --n 3 --r 5 --u 12", "spectrum_boom_13_3_5_12.json"),
+    ("spectrum boom --p 3 --n 4 --r 3 --u 0", "spectrum_boom_3_4_3_0.json"),
+    ("spectrum boom --p 7 --n 2 --r 4 --u 6", "spectrum_boom_7_2_4_6.json"),
+    ("spectrum boom --p 23 --n 1 --r 15 --u 1", "spectrum_boom_23_1_15_1.json"),
 ])
 def test_output_matches_golden(capsys, argv, golden):
     code, out = run_cli(capsys, *argv.split())

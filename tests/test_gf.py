@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -350,9 +351,51 @@ def test_outer_diff_hist_largest_boomerang_class():
     assert (f.outer_diff_hist(vals) == pairwise_diff_hist(f, vals)).all()
 
 
+@pytest.mark.parametrize("p,n", [(1019, 1), (7, 3), (3, 6)])
+def test_outer_diff_hist_distinct_value_path(monkeypatch, p, n):
+    # k = floor(sqrt(q)) distinct values take the pair path, one more takes
+    # the FFT; half the entries repeat the first value
+    f = make_field(p, n)
+    ffts = []
+    rfftn = np.fft.rfftn
+
+    def spy(*args, **kwargs):
+        ffts.append(1)
+        return rfftn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfftn", spy)
+    rng = np.random.default_rng(f.q)
+    root = math.isqrt(f.q)
+    for k in (root, root + 1):
+        distinct = rng.choice(f.q, size=k, replace=False)
+        vals = np.concatenate([distinct, np.repeat(distinct[0], 2 * k), rng.choice(distinct, 3 * k)])
+        ffts.clear()
+        hist = f.outer_diff_hist(vals)
+        assert len(ffts) == (k * k > f.q)
+        assert hist.dtype == np.int64
+        assert (hist == pairwise_diff_hist(f, vals)).all()
+
+
+def test_outer_diff_hist_guards_pair_total(monkeypatch):
+    # one pair too many from the weighted bincount of the distinct-value path
+    f = make_field(3, 3)
+    bincount = np.bincount
+
+    def corrupted(*args, **kwargs):
+        out = bincount(*args, **kwargs)
+        if len(args) > 1 or "weights" in kwargs:
+            out[1] += 1
+        return out
+
+    monkeypatch.setattr(np, "bincount", corrupted)
+    with pytest.raises(InvariantError):
+        f.outer_diff_hist(np.array([1, 2, 2, 5], dtype=np.int64))
+
+
 @pytest.mark.parametrize("offset", [0.5, 1.0])
 def test_outer_diff_hist_guards_rounding(monkeypatch, offset):
-    # a bin off an integer, or an integer-valued bin that breaks the total
+    # a bin off an integer, or an integer-valued bin that breaks the total;
+    # six distinct values, 36 > 27, so the input reaches the FFT
     f = make_field(3, 3)
     irfftn = np.fft.irfftn
 
@@ -363,4 +406,4 @@ def test_outer_diff_hist_guards_rounding(monkeypatch, offset):
 
     monkeypatch.setattr(np.fft, "irfftn", corrupted)
     with pytest.raises(InvariantError):
-        f.outer_diff_hist(np.array([1, 2, 2, 5], dtype=np.int64))
+        f.outer_diff_hist(np.array([1, 2, 2, 5, 7, 11, 20], dtype=np.int64))

@@ -4,6 +4,8 @@ Fields are F_{p^n} with p <= 31 and q <= 3^7.  Examples are derandomized
 and bounded, so every run checks the same inputs.
 """
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,7 @@ from ffbinom.boom import beta_ab, beta_profile
 from ffbinom.family import BinomialSpec
 from ffbinom.gf import is_prime, make_field
 
-from naive_oracles import pairwise_diff_hist
+from naive_oracles import packed_runs, pairwise_diff_hist
 
 _FIELDS = [(p, n) for p in range(3, 32) if is_prime(p) for n in range(1, 8) if p**n <= 3**7]
 
@@ -47,7 +49,20 @@ def test_within_row_diff_hist_matches_pairwise(data):
     # short runs drawn from a few values, so that they repeat inside a run
     pool = data.draw(st.lists(element, min_size=1, max_size=6))
     runs = data.draw(st.lists(st.lists(st.sampled_from(pool) | element, min_size=1, max_size=30), min_size=1, max_size=8))
-    values = np.array([v for run in runs for v in run], dtype=np.int64)
-    sizes = np.array([len(run) for run in runs])
     expected = sum(pairwise_diff_hist(f, np.array(run, dtype=np.int64)) for run in runs)
-    assert (boom._within_row_diff_hist(f, values, sizes) == expected).all()
+    assert (boom._within_row_diff_hist(f, *packed_runs(runs)) == expected).all()
+
+
+@_SETTINGS
+@given(data=st.data())
+def test_outer_diff_hist_matches_pairwise(data):
+    # up to 2 sqrt(q) + 2 arbitrary elements plus repeats from a small pool,
+    # so that inputs land on both sides of the k*k <= q rule between the
+    # distinct-value pairs and the FFT
+    f = data.draw(fields())
+    element = st.integers(0, f.q - 1)
+    spread = data.draw(st.lists(element, max_size=2 * math.isqrt(f.q) + 2))
+    pool = data.draw(st.lists(element, min_size=1, max_size=6))
+    repeats = data.draw(st.lists(st.sampled_from(pool), max_size=30))
+    values = np.array(spread + repeats, dtype=np.int64)
+    assert (f.outer_diff_hist(values) == pairwise_diff_hist(f, values)).all()
