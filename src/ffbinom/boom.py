@@ -130,11 +130,8 @@ def beta_profile(field: FieldSpec, spec: BinomialSpec, a: Elt = 1) -> np.ndarray
     ends = np.flatnonzero(~same) + 1
     sizes = np.diff(ends, prepend=0)
     small = sizes * sizes <= q
-    if small.all():
-        profile = _within_row_diff_hist(field, grouped, same)
-    else:
-        keep = np.repeat(small, sizes)
-        profile = _within_row_diff_hist(field, grouped[keep], same[keep])
+    keep = slice(None) if small.all() else np.repeat(small, sizes)
+    profile = _within_row_diff_hist(field, grouped[keep], same[keep])
     for c in np.flatnonzero(~small):
         profile += field.outer_diff_hist(grouped[ends[c] - sizes[c] : ends[c]])
     pairs = int((sizes * sizes).sum())
