@@ -14,8 +14,9 @@ an FFT autocorrelation over the additive group, in O(q log q).
 
 On F_p the shift x -> x + a is a rotation of the value table, and every
 difference is of canonical elements, so the prime-field path needs no gather
-and no integer division.  Shifts a and targets b are checked to be elements
-of [0, q) on entry, as u is.
+and no integer division.  On F_{p^n} every difference is taken in the log
+domain by FieldSpec.sub_arrays, through Zech's logarithms.  Shifts a and
+targets b are checked to be elements of [0, q) on entry, as u is.
 """
 
 from __future__ import annotations
@@ -164,18 +165,17 @@ def _within_row_diff_hist(field: FieldSpec, values: np.ndarray, same: np.ndarray
 def _offset_pair_diffs(field: FieldSpec, values: np.ndarray, same: np.ndarray):
     # the pairs (i, i + t) inside a run, for t = 1, 2, ...: a run of size s
     # has s - t of them, and i stays while i + t + 1 is still in its run;
-    # yielded in pieces of at most _PAIR_CHUNK digits
+    # yielded in pieces of at most _PAIR_CHUNK differences
     i, t = np.flatnonzero(same), 1
-    step = max(1, _PAIR_CHUNK // field.n)
     while len(i):
         j = i + t
-        for lo in range(0, len(i), step):
-            a, b = values[i[lo : lo + step]], values[j[lo : lo + step]]
+        for lo in range(0, len(i), _PAIR_CHUNK):
+            a, b = values[i[lo : lo + _PAIR_CHUNK]], values[j[lo : lo + _PAIR_CHUNK]]
             if field.n == 1:
                 # |b - a| is b - a or a - b, each in [0, q)
                 yield np.abs(b - a)
             else:
-                yield (field._digits[b] - field._digits[a]) % field.p @ field._pp
+                yield field.sub_arrays(b, a)
         i = i[same[j]]
         t += 1
 

@@ -12,6 +12,11 @@ numpy passes.  On F_p that is a product mod p; on F_{p^n} multiplication by
 the constant g^m is an F_p-linear map, applied as an n x n matrix mod p to
 the base-p digit rows.  The log table is one scatter of the exp table.
 Larger fields keep exact scalar arithmetic through the table-free routines.
+
+Bulk addition and subtraction on F_{p^n} stay in the log domain too, through
+Zech's logarithms Z[k] = log(1 + g^k), one q-long table (K. Huber, "Some
+comments on Zech's logarithms", IEEE Trans. Inf. Theory 36, 1990); on F_p
+they are integer arithmetic on the encodings.
 """
 
 from __future__ import annotations
@@ -36,7 +41,8 @@ TABLE_LIMIT = 1 << 24
 _BUILD_CHUNK = 1 << 16
 
 # Differences per pass of the pair-difference kernels (outer_diff_hist and
-# the boomerang small-class kernel): on F_{p^n} each one is n int16 digits.
+# the boomerang small-class kernel), which bounds their temporaries: on
+# F_{p^n} a difference takes a few int64 words of Zech-logarithm scratch.
 _PAIR_CHUNK = 1 << 20
 
 _MAX_ORDER = 1 << 63
@@ -442,6 +448,15 @@ class FieldSpec:
         out.setflags(write=False)
         return out
 
+    @functools.cached_property
+    def _zech(self) -> np.ndarray:
+        # Zech's logarithms Z[k] = log(1 + g^k) for k in [0, q - 1); 1 + g^k
+        # is 0 only at k = (q - 1)/2, where g^k = -1, and there Z is -1, the
+        # log table's value at 0
+        z = self._log[self.succ_table[self._exp]]
+        z.setflags(write=False)
+        return z
+
     @property
     def chi_table(self) -> np.ndarray:
         """Quadratic character of every element as an int8 array."""
@@ -452,24 +467,49 @@ class FieldSpec:
         if self._exp is None:
             raise FFBinomError(f"no tables for q = {self.q} > {TABLE_LIMIT}")
 
-    def add_arrays(self, a: np.ndarray, b) -> np.ndarray:
-        """Elementwise field addition of encoded arrays (b may be a scalar)."""
+    def add_arrays(self, a, b) -> np.ndarray:
+        """Elementwise field addition of encoded arrays (either may be a scalar).
+
+        On F_p any integers are reduced mod q.  On F_{p^n} both operands must
+        be canonical, in [0, q), and the sum is taken by Zech's logarithms.
+        """
         if self.n == 1:
             return (a + b) % self.q
-        return ((self._digits[a] + self._digits[b]) % self.p) @ self._pp
+        return self._zech_sum(a, b, 0)
 
     def sub_arrays(self, a, b) -> np.ndarray:
         """Elementwise field subtraction of encoded arrays (either may be a scalar).
 
         Both operands must be canonical, in [0, q): on F_p the difference is
         then in (-q, q), and adding q where it is negative reduces it without
-        a division.  Out-of-range operands give wrong results, not errors.
+        a division; on F_{p^n} it is a + (-1) * b by Zech's logarithms, with
+        -1 = g^((q-1)/2).  Out-of-range operands give wrong results, not
+        errors.
         """
         if self.n == 1:
             d = np.subtract(a, b)
             d += self.q * (d < 0)
             return d
-        return ((self._digits[a] - self._digits[b]) % self.p) @ self._pp
+        return self._zech_sum(a, b, (self.q - 1) // 2)
+
+    def _zech_sum(self, a, b, t: int) -> np.ndarray:
+        # a + g^t * b.  For a != 0 and c = g^t * b != 0, a + c = c * (1 + a/c),
+        # so log(a + c) = log c + Z[log a - log c], where Z = -1 marks
+        # a + c = 0.  take's "wrap" mode reduces both indices mod q - 1 by a
+        # compare and one add or subtract, not a division.  With a = 0 the
+        # Zech term is forced to 0 = log 1, which gives c; with b = 0 the sum
+        # is a.  Each zero fix-up is one mask pass and one multiply or select.
+        self._require_tables()
+        la = self._log[a]
+        lc = self._log[b]
+        lc += t  # log c where b != 0; t - 1 where b = 0
+        z = np.take(self._zech, la - lc, mode="wrap")
+        z *= la >= 0
+        nonzero = z >= 0
+        z += lc
+        out = np.take(self._exp, z, mode="wrap")
+        out *= nonzero
+        return np.where(lc < t, a, out)
 
     def mul_arrays(self, a: np.ndarray, b) -> np.ndarray:
         """Elementwise field product via the discrete-log table."""
@@ -516,7 +556,7 @@ class FieldSpec:
         if k * k <= self.q:
             mult = counts[distinct]
             exact = np.zeros(self.q)
-            rows = max(1, _PAIR_CHUNK // (k * self.n))
+            rows = max(1, _PAIR_CHUNK // k)
             for lo in range(0, k, rows):
                 diffs = self.sub_arrays(distinct[lo : lo + rows, None], distinct)
                 weights = mult[lo : lo + rows, None] * mult

@@ -22,9 +22,13 @@ from .family import BinomialSpec
 from .gf import FieldSpec, make_field
 
 
-@dataclass
+@dataclass(slots=True)
 class ScanResult:
-    """One Frobenius orbit of exponents on one field."""
+    """One Frobenius orbit of exponents on one field.
+
+    Slotted, so a caller that keeps many results holds no per-instance
+    __dict__.
+    """
 
     p: int
     n: int

@@ -1,8 +1,9 @@
 """Definitional brute-force oracles for the tests.
 
 These deliberately avoid the vectorized table paths: field arithmetic goes
-through the table-free scalar routines (_raw_mul / _pow_slow), and the prime
-field variants below use nothing but Python integers.
+through the table-free scalar routines (_raw_mul / _pow_slow) or, in bulk,
+through the base-p digits of the encodings, and the prime field variants
+below use nothing but Python integers.
 """
 
 from collections import Counter
@@ -57,6 +58,19 @@ def naive_delta_row(field: FieldSpec, spec: BinomialSpec) -> Counter:
     return row
 
 
+def digit_add(field: FieldSpec, a, b) -> np.ndarray:
+    """a + b coefficient by coefficient over the base-p encodings (either may
+    be a scalar, and they broadcast); the reference for the Zech-logarithm
+    FieldSpec.add_arrays."""
+    return (field._digits[a] + field._digits[b]) % field.p @ field._pp
+
+
+def digit_sub(field: FieldSpec, a, b) -> np.ndarray:
+    """a - b coefficient by coefficient; the reference for the
+    Zech-logarithm FieldSpec.sub_arrays."""
+    return (field._digits[a] - field._digits[b]) % field.p @ field._pp
+
+
 def pairwise_diff_hist(field: FieldSpec, values: np.ndarray) -> np.ndarray:
     """Histogram of v_i - v_j with every ordered pair formed explicitly.
 
@@ -74,12 +88,10 @@ def pairwise_diff_hist(field: FieldSpec, values: np.ndarray) -> np.ndarray:
             d = (values[i : i + rows, None] - values[None, :]) % field.q
             hist += np.bincount(d.ravel(), minlength=field.q)
     else:
-        dv = field._digits[values]
         rows = max(1, 4_000_000 // (m * field.n))
         for i in range(0, m, rows):
-            d = (dv[i : i + rows, None, :] - dv[None, :, :]) % field.p
-            enc = d.reshape(-1, field.n) @ field._pp
-            hist += np.bincount(enc, minlength=field.q)
+            d = digit_sub(field, values[i : i + rows, None], values[None, :])
+            hist += np.bincount(d.ravel(), minlength=field.q)
     return hist
 
 

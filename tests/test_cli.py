@@ -155,6 +155,9 @@ def test_verify_mismatch_exits_2(capsys, monkeypatch):
     ("spectrum boom --p 3 --n 4 --r 3 --u 0", "spectrum_boom_3_4_3_0.json"),
     ("spectrum boom --p 7 --n 2 --r 4 --u 6", "spectrum_boom_7_2_4_6.json"),
     ("spectrum boom --p 23 --n 1 --r 15 --u 1", "spectrum_boom_23_1_15_1.json"),
+    # every orbit of F_{3^5}; with two workers the results are pickled
+    ("scan --p 3 --n 5 --jobs 1", "scan_3_5.jsonl"),
+    ("scan --p 3 --n 5 --jobs 2", "scan_3_5.jsonl"),
 ])
 def test_output_matches_golden(capsys, argv, golden):
     code, out = run_cli(capsys, *argv.split())

@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from ffbinom import gf
+from ffbinom import boom, charsum, diff, gf
 from ffbinom.errors import BadDegreeError, EvenCharacteristicError, FFBinomError, InvariantError, NonPrimeError
 from ffbinom.family import BinomialSpec, eval_table
 from ffbinom.gf import FieldSpec, SijClass, is_prime, make_field, prime_power
 
-from naive_oracles import naive_chi, pairwise_diff_hist, sequential_tables
+from naive_oracles import digit_add, digit_sub, naive_chi, pairwise_diff_hist, sequential_tables
 
 
 def test_make_field_basic():
@@ -285,6 +285,64 @@ def test_sub_arrays_needs_canonical_operands_add_arrays_does_not():
     assert f.sub_arrays(np.array([0]), 12).tolist() == [-1]
 
 
+def _assert_zech_matches_digits(f, a, b):
+    assert np.array_equal(f.sub_arrays(a, b), digit_sub(f, a, b))
+    assert np.array_equal(f.add_arrays(a, b), digit_add(f, a, b))
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3)])
+def test_zech_arithmetic_every_pair(p, n):
+    f = make_field(p, n)
+    h = (f.q - 1) // 2
+    ks = np.arange(f.q - 1)
+    assert f._zech[h] == -1
+    assert f._zech[ks != h].tolist() == [f._log[f.add(int(f._exp[k]), 1)] for k in ks[ks != h]]
+    a, b = np.divmod(np.arange(f.q * f.q), f.q)
+    _assert_zech_matches_digits(f, a, b)
+
+
+@pytest.mark.parametrize("p,n", [(3, 4), (3, 5), (3, 6), (3, 7), (3, 8), (5, 4), (7, 3), (13, 3), (23, 3)])
+def test_zech_arithmetic_against_digits(p, n):
+    f = make_field(p, n)
+    rng = np.random.default_rng(f.q)
+    a, b = rng.integers(0, f.q, (2, 4000))
+    neg = digit_sub(f, 0, a)
+    # zero on either side and on both, a = b and a = -b, in one array
+    a[:100], b[100:200], a[200:300], b[200:300] = 0, 0, 0, 0
+    b[300:400], b[400:500] = a[300:400], neg[400:500]
+    _assert_zech_matches_digits(f, a, b)
+    for s in (0, 1, f.q - 1, int(a[1000])):
+        _assert_zech_matches_digits(f, a, s)
+        _assert_zech_matches_digits(f, s, b)
+        _assert_zech_matches_digits(f, s, int(b[1000]))
+    # the k x 1 - k broadcast of outer_diff_hist's distinct-value path
+    distinct = np.unique(np.r_[0, a[:60]])
+    _assert_zech_matches_digits(f, distinct[:, None], distinct)
+
+
+def test_library_never_reads_digit_table(monkeypatch):
+    # every bulk path on F_{p^n} adds and subtracts by Zech's logarithms; the
+    # base-p digit table is left to the test oracles
+    def refuse(self):
+        raise AssertionError("FieldSpec._digits read by the library")
+
+    monkeypatch.setattr(FieldSpec, "_digits", property(refuse))
+    for p, n in [(3, 5), (7, 3)]:
+        f = make_field(p, n)
+        for u in (0, 1, p - 1, 5):
+            spec = BinomialSpec(5, u)
+            boom.boom_spectrum(f, spec)
+            boom.beta_ab(f, spec, 4, 7)
+            diff.delta_ab(f, spec, 4, 7)
+            diff.diff_spectrum(f, spec)
+        diff.d00_condition(f, 5)
+        charsum.quad_char_sum(f, 2, 5, 7)
+        root = math.isqrt(f.q)
+        for k in (root, root + 1):  # the distinct-value pairs, then the FFT
+            f.outer_diff_hist(np.r_[np.arange(k), 0, 0])
+    charsum.gamma(make_field(11, 3))
+
+
 def test_mul_arrays_zero_operands():
     for p, n in [(11, 1), (3, 3)]:
         f = make_field(p, n)
@@ -312,6 +370,12 @@ def test_large_field_scalar_fallbacks():
         f.power_table(3)
     with pytest.raises(FFBinomError):
         f.sij_sizes()
+    # on F_{p^n} addition and subtraction need the tables too, and fail
+    # before building anything q-long (q = 3^16 here)
+    big = FieldSpec(3, 16)
+    for op in (big.add_arrays, big.sub_arrays):
+        with pytest.raises(FFBinomError):
+            op(np.array([1]), 2)
 
 
 def test_outer_diff_hist():

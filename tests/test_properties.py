@@ -1,4 +1,4 @@
-"""Property checks of the boomerang kernels on random small fields.
+"""Property checks of the fast kernels on random small fields.
 
 Fields are F_{p^n} with p <= 31 and q <= 3^7.  Examples are derandomized
 and bounded, so every run checks the same inputs.
@@ -15,7 +15,7 @@ from ffbinom.boom import beta_ab, beta_profile
 from ffbinom.family import BinomialSpec
 from ffbinom.gf import is_prime, make_field
 
-from naive_oracles import packed_runs, pairwise_diff_hist
+from naive_oracles import digit_add, digit_sub, packed_runs, pairwise_diff_hist
 
 _FIELDS = [(p, n) for p in range(3, 32) if is_prime(p) for n in range(1, 8) if p**n <= 3**7]
 
@@ -66,3 +66,19 @@ def test_outer_diff_hist_matches_pairwise(data):
     repeats = data.draw(st.lists(st.sampled_from(pool), max_size=30))
     values = np.array(spread + repeats, dtype=np.int64)
     assert (f.outer_diff_hist(values) == pairwise_diff_hist(f, values)).all()
+
+
+@_SETTINGS
+@given(data=st.data())
+def test_zech_add_and_sub_match_digits(data):
+    # b is drawn per entry as an arbitrary element, 0, a or -a, so zero
+    # operands, zero differences and zero sums all occur
+    f = data.draw(fields())
+    element = st.integers(0, f.q - 1)
+    a = np.array(data.draw(st.lists(st.just(0) | element, min_size=1, max_size=40)), dtype=np.int64)
+    size = dict(min_size=len(a), max_size=len(a))
+    kind = np.array(data.draw(st.lists(st.integers(0, 3), **size)))
+    other = np.array(data.draw(st.lists(element, **size)), dtype=np.int64)
+    b = np.select([kind == 0, kind == 1, kind == 2], [other, 0, a], digit_sub(f, 0, a))
+    assert np.array_equal(f.sub_arrays(a, b), digit_sub(f, a, b))
+    assert np.array_equal(f.add_arrays(a, b), digit_add(f, a, b))

@@ -93,6 +93,7 @@ def test_scan_worker_count_invariance():
     seq = scan_exponents(f, 1, 25, jobs=1)
     par = scan_exponents(f, 1, 25, jobs=2)
     assert seq == par
+    assert not hasattr(seq[0], "__dict__")  # slotted, and still pickled across workers
 
 
 def test_scan_reports_hits_beyond_known_families():
