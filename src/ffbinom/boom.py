@@ -12,11 +12,13 @@ u = +-1 only one or two distinct values, and is histogrammed over those
 values' pairs; only a group with more than sqrt(q) distinct values pays for
 an FFT autocorrelation over the additive group, in O(q log q).
 
-On F_p the shift x -> x + a is a rotation of the value table, and every
-difference is of canonical elements, so the prime-field path needs no gather
-and no integer division.  On F_{p^n} every difference is taken in the log
-domain by FieldSpec.sub_arrays, through Zech's logarithms.  Shifts a and
-targets b are checked to be elements of [0, q) on entry, as u is.
+The shift-differences come from family._shift_difference.  On F_p the
+shift x -> x + a is a rotation of the value table, and every difference is
+of canonical elements, so the prime-field path needs no gather and no
+integer division.  On F_{p^n} every difference is taken in the log domain by
+FieldSpec.sub_arrays, through Zech's logarithms.  Shifts a and targets b are
+checked to be elements of [0, q) on entry, as u is.  bijkl_counts reads the
+classes of x and y from FieldSpec.sij_table.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FFBinomError, InvariantError, UnsupportedUError, ZeroShiftError
-from .family import BinomialSpec, _check_element, eval_table
+from .family import BinomialSpec, _check_element, _shift_difference, _shifted, eval_table
 from .gf import _PAIR_CHUNK, TABLE_LIMIT, Elt, FieldSpec
 
 _BIJKL_KEYS = tuple(f"{i}{j}{k}{l}" for i in "01" for j in "01" for k in "01" for l in "01")
@@ -59,15 +61,6 @@ class BijklCounts:
 
 def _pair_keys(field: FieldSpec, fv: np.ndarray, f1: np.ndarray) -> np.ndarray:
     return fv * field.q + f1
-
-
-def _shifted(field: FieldSpec, fv: np.ndarray, a: Elt) -> np.ndarray:
-    # F(x + a) for every x; on F_p, x + a is a rotation of the index by a
-    if field.n == 1:
-        return np.roll(fv, -a)
-    if a == 1:
-        return fv[field.succ_table]
-    return fv[field.add_arrays(np.arange(field.q, dtype=np.int64), a)]
 
 
 def _beta_count(field: FieldSpec, spec: BinomialSpec, a: Elt, b: Elt) -> int:
@@ -119,8 +112,7 @@ def beta_profile(field: FieldSpec, spec: BinomialSpec, a: Elt = 1) -> np.ndarray
         raise ZeroShiftError("a must be nonzero")
     q = field.q
     fv = eval_table(field, spec)
-    d = field.sub_arrays(_shifted(field, fv, a), fv)
-    keys = d << _KEY_BITS
+    keys = _shift_difference(field, fv, a) << _KEY_BITS
     keys |= fv
     keys.sort()
     ds = keys >> _KEY_BITS
@@ -211,36 +203,27 @@ def beta_ab(field: FieldSpec, spec: BinomialSpec, a: Elt, b: Elt) -> int:
 
 
 def bijkl_counts(field: FieldSpec, spec: BinomialSpec, b: Elt) -> BijklCounts:
-    """Solutions of the a = 1 system partitioned by (class(x), class(y))."""
+    """Solutions of the a = 1 system partitioned by (class(x), class(y)).
+
+    The points (F(y), F(y+1)) are tagged with y's sij_table code and sorted
+    once; per code of y, a searchsorted matches the targets (F(x)-b,
+    F(x+1)-b), and a bincount by x's code fills a 5 x 5 grid whose row and
+    column 4 are the boundary."""
     _check_element(field, "b", b)
     if spec.u not in (1, field.minus_one):
         raise UnsupportedUError("class decomposition requires u = +-1")
     if b == 0:
         raise FFBinomError("b must be nonzero")
     fv = eval_table(field, spec)
-    f1 = fv[field.succ_table]
-    points: dict[int, list[int]] = {}
-    keys = _pair_keys(field, fv, f1)
-    for y, key in enumerate(keys.tolist()):
-        points.setdefault(key, []).append(y)
-    targets = _pair_keys(field, field.sub_arrays(fv, b), field.sub_arrays(f1, b))
-
-    cx = field.chi_table
-
-    def cls(x: int) -> str | None:
-        if x == 0 or x == field.minus_one:
-            return None
-        i = 0 if cx[x] == 1 else 1
-        j = 0 if cx[field.succ_table[x]] == 1 else 1
-        return f"{i}{j}"
-
-    counts = dict.fromkeys(_BIJKL_KEYS, 0)
-    boundary = 0
-    for x, key in enumerate(targets.tolist()):
-        for y in points.get(key, ()):
-            cx_, cy_ = cls(x), cls(y)
-            if cx_ is None or cy_ is None:
-                boundary += 1
-            else:
-                counts[cx_ + cy_] += 1
-    return BijklCounts(counts, boundary)
+    f1 = _shifted(field, fv, 1)
+    codes = field.sij_table
+    uniq, cnt = np.unique(_pair_keys(field, fv, f1) * 5 + codes, return_counts=True)
+    targets = _pair_keys(field, field.sub_arrays(fv, b), field.sub_arrays(f1, b)) * 5
+    grid = np.zeros((5, 5), dtype=np.int64)
+    for cy in range(5):
+        tagged = targets + cy
+        idx = np.minimum(np.searchsorted(uniq, tagged), len(uniq) - 1)
+        hit = uniq[idx] == tagged
+        grid[:, cy] = np.bincount(codes[hit], weights=cnt[idx[hit]], minlength=5)
+    inner = grid[:4, :4]
+    return BijklCounts(dict(zip(_BIJKL_KEYS, map(int, inner.ravel()))), int(grid.sum() - inner.sum()))

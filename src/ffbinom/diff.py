@@ -3,7 +3,8 @@
 Everything is organized around the a = 1 difference row: delta(a, b) for
 general a reduces to a row lookup through the permutations b -> b/a^r and
 b -> b/((-1)^(r+1) a^r) when q = 3 (mod 4), so the full (a, b) table is
-never materialized.
+never materialized.  Rows come from family._shift_difference and splits
+by the class of x from FieldSpec.sij_table.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError, UnsupportedUError, ZeroShiftError
-from .family import BinomialSpec, _check_element, eval_table
+from .family import BinomialSpec, _check_element, _shift_difference, eval_table
 from .gf import Elt, FieldSpec
 
 
@@ -56,9 +57,7 @@ class CollisionReport:
 
 def delta_row(field: FieldSpec, spec: BinomialSpec) -> np.ndarray:
     """Histogram of F(x+1) - F(x) over all x; entry b is delta(1, b)."""
-    fv = eval_table(field, spec)
-    d = field.sub_arrays(fv[field.succ_table], fv)
-    return np.bincount(d, minlength=field.q)
+    return np.bincount(_shift_difference(field, eval_table(field, spec)), minlength=field.q)
 
 
 def delta_ab(field: FieldSpec, spec: BinomialSpec, a: Elt, b: Elt) -> int:
@@ -67,9 +66,7 @@ def delta_ab(field: FieldSpec, spec: BinomialSpec, a: Elt, b: Elt) -> int:
     _check_element(field, "b", b)
     if a == 0:
         raise ZeroShiftError("a must be nonzero")
-    fv = eval_table(field, spec)
-    fa = fv[field.add_arrays(np.arange(field.q, dtype=np.int64), a)]
-    return int(np.count_nonzero(field.sub_arrays(fa, fv) == b))
+    return int(np.count_nonzero(_shift_difference(field, eval_table(field, spec), a) == b))
 
 
 def diff_spectrum(field: FieldSpec, spec: BinomialSpec) -> DiffSpectrum:
@@ -87,21 +84,13 @@ def _row_spectrum(field: FieldSpec, row: np.ndarray) -> DiffSpectrum:
 
 
 def dij_counts(field: FieldSpec, spec: BinomialSpec, b: Elt) -> DijCounts:
-    """Solutions of F(x+1) - F(x) = b partitioned by the class of x."""
+    """Solutions of F(x+1) - F(x) = b partitioned by the class of x: a
+    bincount of the solutions' sij_table codes, in DijCounts field order."""
     _check_element(field, "b", b)
     if spec.u not in (1, field.minus_one):
         raise UnsupportedUError("class decomposition requires u = +-1")
-    fv = eval_table(field, spec)
-    sol = field.sub_arrays(fv[field.succ_table], fv) == b
-    cx = field.chi_table
-    cx1 = cx[field.succ_table]
-    return DijCounts(
-        d00=int(np.count_nonzero(sol & (cx == 1) & (cx1 == 1))),
-        d01=int(np.count_nonzero(sol & (cx == 1) & (cx1 == -1))),
-        d10=int(np.count_nonzero(sol & (cx == -1) & (cx1 == 1))),
-        d11=int(np.count_nonzero(sol & (cx == -1) & (cx1 == -1))),
-        boundary=int(sol[0]) + int(sol[field.minus_one]),
-    )
+    sol = _shift_difference(field, eval_table(field, spec)) == b
+    return DijCounts(*map(int, np.bincount(field.sij_table[sol], minlength=5)))
 
 
 def locally_apn_check(field: FieldSpec, spec: BinomialSpec) -> LocallyApnReport:
@@ -123,16 +112,15 @@ def _row_locally_apn(field: FieldSpec, row: np.ndarray) -> LocallyApnReport:
 
 def d00_condition(field: FieldSpec, r: int) -> CollisionReport:
     """Whether (x+1)^r - x^r = c has at most one solution x with
-    chi(x) = chi(x+1) = 1, for every nonzero c."""
-    pr = field.power_table(r)
-    g = field.sub_arrays(pr[field.succ_table], pr)
-    cx = field.chi_table
-    s00 = (cx == 1) & (cx[field.succ_table] == 1)
+    chi(x) = chi(x+1) = 1, for every nonzero c.
+
+    The difference is formed on the whole field and read on S00 (sij_table
+    code 0); a failure's witness is the smallest such c and its two smallest x.
+    """
+    g = _shift_difference(field, field.power_table(r))
+    s00 = field.sij_table == 0
     vals = g[s00]
-    vals = vals[vals != 0]
-    if len(vals) == 0:
-        return CollisionReport(True, None)
-    counts = np.bincount(vals)
+    counts = np.bincount(vals[vals != 0])
     bad = np.flatnonzero(counts >= 2)
     if len(bad) == 0:
         return CollisionReport(True, None)

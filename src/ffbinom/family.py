@@ -94,6 +94,21 @@ def eval_table(field: FieldSpec, spec: BinomialSpec) -> np.ndarray:
     return out
 
 
+def _shifted(field: FieldSpec, values: np.ndarray, a: Elt) -> np.ndarray:
+    # F(x + a) for every x; on F_p, x + a is a rotation of the index by a
+    if field.n == 1:
+        return np.roll(values, -a)
+    if a == 1:
+        return values[field.succ_table]
+    return values[field.add_arrays(np.arange(field.q, dtype=np.int64), a)]
+
+
+def _shift_difference(field: FieldSpec, values: np.ndarray, a: Elt = 1) -> np.ndarray:
+    """F(x + a) - F(x) for every x, given values[x] = F(x): the one place
+    the difference rows and the S00 collision filter form it."""
+    return field.sub_arrays(_shifted(field, values, a), values)
+
+
 def table1_exponents(field: FieldSpec) -> list[ExponentFamily]:
     """All special exponents whose side conditions hold for this field.
 

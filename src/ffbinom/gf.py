@@ -413,17 +413,8 @@ class FieldSpec:
 
     def sij_sizes(self) -> dict[SijClass, int]:
         """Exhaustive class counts over the whole field."""
-        self._require_tables()
-        cx = self._chi
-        cx1 = self._chi[self.succ_table]
-        return {
-            SijClass.S00: int(np.count_nonzero((cx == 1) & (cx1 == 1))),
-            SijClass.S01: int(np.count_nonzero((cx == 1) & (cx1 == -1))),
-            SijClass.S10: int(np.count_nonzero((cx == -1) & (cx1 == 1))),
-            SijClass.S11: int(np.count_nonzero((cx == -1) & (cx1 == -1))),
-            SijClass.ZERO: 1,
-            SijClass.MINUS_ONE: 1,
-        }
+        counts = np.bincount(self.sij_table, minlength=5).tolist()
+        return dict(zip(SijClass, counts[:4] + [1, 1]))
 
     # -- vectorized helpers ---------------------------------------------------
 
@@ -447,6 +438,17 @@ class FieldSpec:
             out = vals - c0 + (c0 + 1) % self.p
         out.setflags(write=False)
         return out
+
+    @functools.cached_property
+    def sij_table(self) -> np.ndarray:
+        """Read-only int8 class code of every element, the one derivation of
+        the partition: 2i + j for x in S_ij, where chi(x) = (-1)^i and
+        chi(x+1) = (-1)^j, and 4 for x in {0, -1}."""
+        self._require_tables()
+        codes = (2 * (self._chi == -1) + (self._chi[self.succ_table] == -1)).astype(np.int8)
+        codes[[0, self.minus_one]] = 4
+        codes.setflags(write=False)
+        return codes
 
     @functools.cached_property
     def _zech(self) -> np.ndarray:

@@ -126,6 +126,8 @@ def scan_exponents(field: FieldSpec, r_min: int, r_max: int, jobs: int = 1) -> l
     if not 1 <= r_min <= r_max < field.q - 1:
         raise BadRangeError(f"need 1 <= r_min <= r_max < q-1, got [{r_min}, {r_max}]")
     p, n = field.p, field.n
+    # a process pool forks all its workers at the first submit
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
         results = _scan_chunk(p, n, r_min, r_max, r_min, r_max)
     else:
@@ -141,7 +143,7 @@ def scan_exponents(field: FieldSpec, r_min: int, r_max: int, jobs: int = 1) -> l
         from concurrent.futures import ProcessPoolExecutor
 
         results = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
             for part in pool.map(_scan_chunk, *zip(*chunks)):
                 results.extend(part)
     results.sort(key=lambda s: (s.q, s.r))

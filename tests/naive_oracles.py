@@ -1,17 +1,21 @@
 """Definitional brute-force oracles for the tests.
 
 These deliberately avoid the vectorized table paths: field arithmetic goes
-through the table-free scalar routines (_raw_mul / _pow_slow) or, in bulk,
-through the base-p digits of the encodings, and the prime field variants
-below use nothing but Python integers.
+through the table-free scalar routines (_raw_mul / _pow_slow), through
+FieldSpec's scalar methods one element at a time (naive_dij_counts,
+naive_d00_condition) or, in bulk, through the base-p digits of the
+encodings, and the prime field variants below use nothing but Python
+integers.
 """
 
 from collections import Counter
 
 import numpy as np
 
-from ffbinom.family import BinomialSpec
-from ffbinom.gf import FieldSpec
+from ffbinom.boom import BijklCounts
+from ffbinom.diff import CollisionReport, DijCounts
+from ffbinom.family import BinomialSpec, evaluate
+from ffbinom.gf import FieldSpec, SijClass
 
 
 def naive_chi(field: FieldSpec, x: int) -> int:
@@ -56,6 +60,70 @@ def naive_delta_row(field: FieldSpec, spec: BinomialSpec) -> Counter:
     for x in field.elements():
         row[field.sub(fv[field.add(x, 1)], fv[x])] += 1
     return row
+
+
+def naive_dij_counts(field: FieldSpec, spec: BinomialSpec, b: int) -> DijCounts:
+    """Solutions of F(x+1) - F(x) = b tallied by FieldSpec.sij_classify,
+    one scalar evaluation and subtraction per x; the reference for
+    diff.dij_counts."""
+    fv = [evaluate(field, spec, x) for x in field.elements()]
+    tally = Counter(field.sij_classify(x) for x in field.elements() if field.sub(fv[field.add(x, 1)], fv[x]) == b)
+    return DijCounts(
+        tally[SijClass.S00], tally[SijClass.S01], tally[SijClass.S10], tally[SijClass.S11],
+        tally[SijClass.ZERO] + tally[SijClass.MINUS_ONE],
+    )
+
+
+def naive_d00_condition(field: FieldSpec, r: int) -> CollisionReport:
+    """The S00 collision filter by scalar field.chi, field.pow and field.sub:
+    on failure the smallest nonzero c with two solutions x in S00 of
+    (x+1)^r - x^r = c, and its two smallest x; the reference for
+    diff.d00_condition."""
+    sols: dict[int, list[int]] = {}
+    for x in field.elements():
+        x1 = field.add(x, 1)
+        if field.chi(x) == 1 and field.chi(x1) == 1:
+            c = field.sub(field.pow(x1, r), field.pow(x, r))
+            if c:
+                sols.setdefault(c, []).append(x)
+    bad = [c for c in sorted(sols) if len(sols[c]) >= 2]
+    if not bad:
+        return CollisionReport(True, None)
+    return CollisionReport(False, (bad[0], *sols[bad[0]][:2]))
+
+
+def naive_bijkl_counts(field: FieldSpec, spec: BinomialSpec) -> dict[int, BijklCounts]:
+    """boom.bijkl_counts for every nonzero b, from the table-free values and
+    characters: each target (F(x)-b, F(x+1)-b) is looked up in a dict of the
+    points (F(y), F(y+1)), and each match is tallied by the classes of x and
+    y, or as boundary when x or y is 0 or -1."""
+    fv = naive_values(field, spec)
+    f1 = [fv[field.add(x, 1)] for x in field.elements()]
+    points: dict[tuple[int, int], list[int]] = {}
+    for y in field.elements():
+        points.setdefault((fv[y], f1[y]), []).append(y)
+
+    def cls(x: int) -> str | None:
+        if x == 0 or x == field.minus_one:
+            return None
+        i = 0 if naive_chi(field, x) == 1 else 1
+        j = 0 if naive_chi(field, field.add(x, 1)) == 1 else 1
+        return f"{i}{j}"
+
+    classes = [cls(x) for x in field.elements()]
+    out = {}
+    for b in range(1, field.q):
+        counts = {f"{i}{j}{k}{l}": 0 for i in "01" for j in "01" for k in "01" for l in "01"}
+        boundary = 0
+        for x in field.elements():
+            for y in points.get((field.sub(fv[x], b), field.sub(f1[x], b)), ()):
+                cx, cy = classes[x], classes[y]
+                if cx is None or cy is None:
+                    boundary += 1
+                else:
+                    counts[cx + cy] += 1
+        out[b] = BijklCounts(counts, boundary)
+    return out
 
 
 def digit_add(field: FieldSpec, a, b) -> np.ndarray:

@@ -7,7 +7,7 @@ from ffbinom.errors import FFBinomError, InvariantError, UnsupportedUError, Zero
 from ffbinom.family import BinomialSpec, eval_table
 from ffbinom.gf import TABLE_LIMIT, FieldSpec, make_field
 
-from naive_oracles import naive_beta_count, packed_runs, pairwise_diff_hist, reduced_index
+from naive_oracles import naive_beta_count, naive_bijkl_counts, packed_runs, pairwise_diff_hist, reduced_index
 
 
 @pytest.mark.parametrize("p,n,r", [(11, 1, 3), (3, 3, 2)])
@@ -134,6 +134,14 @@ def test_beta_profile_matches_beta_ab_prime_field(monkeypatch, p, r, u, repeats)
         profile = beta_profile(f, spec, a)
         assert any(repeated) == repeats
         assert profile.tolist() == [beta_ab(f, spec, a, b) for b in f.elements()]
+
+
+# F_13 has q = 1 (mod 4); u = 6 and u = 2 are -1 on F_{7^2} and F_{3^5}
+@pytest.mark.parametrize("p,n,r,u", [(11, 1, 3, 1), (3, 3, 2, 1), (13, 1, 2, 1), (7, 2, 4, 6), (3, 5, 2, 2)])
+def test_bijkl_counts_match_naive(p, n, r, u):
+    f = make_field(p, n)
+    spec = BinomialSpec(r, u)
+    assert {b: bijkl_counts(f, spec, b) for b in range(1, f.q)} == naive_bijkl_counts(f, spec)
 
 
 @pytest.mark.parametrize("p,n", [(11, 1), (1019, 1), (3, 2), (5, 3)])

@@ -10,7 +10,7 @@ from ffbinom.errors import (
     WrongResidueError,
     ZeroLeadingError,
 )
-from ffbinom.gf import make_field
+from ffbinom.gf import FieldSpec, make_field
 
 
 @pytest.mark.parametrize("q,expected", [(11, 2), (23, -3), (167, 13), (227, 0)])
@@ -119,6 +119,13 @@ def test_odd_fn_sum_check():
         odd_fn_sum_check(f11, lambda x: f11.mul(x, x))
     with pytest.raises(WrongResidueError):
         odd_fn_sum_check(make_field(13, 1), lambda x: x)
+
+
+def test_odd_fn_sum_check_needs_tables():
+    # q = 3 (mod 4) above TABLE_LIMIT, where its scalar loop would not finish
+    f = FieldSpec(16_777_259, 1)
+    with pytest.raises(FFBinomError, match="no tables"):
+        odd_fn_sum_check(f, lambda x: x)
 
 
 def test_weil_envelope():

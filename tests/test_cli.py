@@ -155,6 +155,12 @@ def test_verify_mismatch_exits_2(capsys, monkeypatch):
     ("spectrum boom --p 3 --n 4 --r 3 --u 0", "spectrum_boom_3_4_3_0.json"),
     ("spectrum boom --p 7 --n 2 --r 4 --u 6", "spectrum_boom_7_2_4_6.json"),
     ("spectrum boom --p 23 --n 1 --r 15 --u 1", "spectrum_boom_23_1_15_1.json"),
+    # the F_p rows come from a rotation of the value table, the F_{p^n} ones
+    # from succ_table
+    ("spectrum diff --p 23 --r 3", "spectrum_diff_23_1_3_1.json"),
+    ("spectrum diff --p 1019 --r 5 --u 3", "spectrum_diff_1019_1_5_3.json"),
+    ("spectrum diff --p 3 --n 5 --r 2", "spectrum_diff_3_5_2_1.json"),
+    ("spectrum diff --p 7 --n 2 --r 4 --u 6", "spectrum_diff_7_2_4_6.json"),
     # every orbit of F_{3^5}; with two workers the results are pickled
     ("scan --p 3 --n 5 --jobs 1", "scan_3_5.jsonl"),
     ("scan --p 3 --n 5 --jobs 2", "scan_3_5.jsonl"),

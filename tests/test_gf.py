@@ -218,6 +218,18 @@ def test_sij_classify():
         assert tallies == k.sij_sizes()
 
 
+_SIJ_CODES = {SijClass.S00: 0, SijClass.S01: 1, SijClass.S10: 2, SijClass.S11: 3, SijClass.ZERO: 4, SijClass.MINUS_ONE: 4}
+
+
+@pytest.mark.parametrize("p,n", [(11, 1), (13, 1), (3, 3), (5, 2), (7, 3)])
+def test_sij_table_matches_sij_classify(p, n):
+    f = make_field(p, n)
+    assert f.sij_table.dtype == np.int8
+    assert f.sij_table.tolist() == [_SIJ_CODES[f.sij_classify(x)] for x in f.elements()]
+    with pytest.raises(ValueError):
+        f.sij_table[1] = 0
+
+
 SIJ_CASES = [
     (11, 1, {SijClass.S00: 2, SijClass.S01: 3, SijClass.S10: 2, SijClass.S11: 2}),
     (3, 3, {SijClass.S00: 6, SijClass.S01: 7, SijClass.S10: 6, SijClass.S11: 6}),
@@ -370,6 +382,8 @@ def test_large_field_scalar_fallbacks():
         f.power_table(3)
     with pytest.raises(FFBinomError):
         f.sij_sizes()
+    with pytest.raises(FFBinomError):
+        f.sij_table
     # on F_{p^n} addition and subtraction need the tables too, and fail
     # before building anything q-long (q = 3^16 here)
     big = FieldSpec(3, 16)

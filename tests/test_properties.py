@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 from ffbinom import boom
 from ffbinom.boom import beta_ab, beta_profile
-from ffbinom.family import BinomialSpec
+from ffbinom.diff import d00_condition, dij_counts
+from ffbinom.family import BinomialSpec, evaluate
 from ffbinom.gf import is_prime, make_field
 
-from naive_oracles import digit_add, digit_sub, packed_runs, pairwise_diff_hist
+from naive_oracles import digit_add, digit_sub, naive_d00_condition, naive_dij_counts, packed_runs, pairwise_diff_hist
 
 _FIELDS = [(p, n) for p in range(3, 32) if is_prime(p) for n in range(1, 8) if p**n <= 3**7]
 
@@ -82,3 +83,24 @@ def test_zech_add_and_sub_match_digits(data):
     b = np.select([kind == 0, kind == 1, kind == 2], [other, 0, a], digit_sub(f, 0, a))
     assert np.array_equal(f.sub_arrays(a, b), digit_sub(f, a, b))
     assert np.array_equal(f.add_arrays(a, b), digit_add(f, a, b))
+
+
+@_SETTINGS
+@given(data=st.data())
+def test_d00_condition_matches_scalar_oracle(data):
+    # small r as well as large ones, so that the filter both holds and fails
+    f = data.draw(fields())
+    r = data.draw(st.integers(1, 12) | st.integers(1, 2 * f.q))
+    assert d00_condition(f, r) == naive_d00_condition(f, r)
+
+
+@_SETTINGS
+@given(data=st.data())
+def test_dij_counts_match_scalar_oracle(data):
+    # b is the difference at a drawn x, so that it has solutions, or any element
+    f = data.draw(fields())
+    spec = BinomialSpec(data.draw(st.integers(1, 2 * f.q)), data.draw(st.sampled_from([1, f.minus_one])))
+    x = data.draw(st.integers(0, f.q - 1))
+    hit = f.sub(evaluate(f, spec, f.add(x, 1)), evaluate(f, spec, x))
+    b = data.draw(st.just(hit) | st.integers(0, f.q - 1))
+    assert dij_counts(f, spec, b) == naive_dij_counts(f, spec, b)

@@ -1,5 +1,7 @@
+import concurrent.futures
 import json
 import math
+import os
 
 import pytest
 
@@ -7,6 +9,31 @@ from ffbinom.errors import BadRangeError
 from ffbinom.family import table1_exponents
 from ffbinom.gf import make_field
 from ffbinom.scan import orbit, orbit_id, scan_exponents, write_jsonl
+
+
+def test_scan_workers_are_clamped_to_cpus_and_chunks(monkeypatch):
+    # the fake pool records its size and maps serially, so no process starts
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    f = make_field(3, 5)
+    assert scan_exponents(f, 2, 240, jobs=5000) == scan_exponents(f, 2, 240)
+    assert scan_exponents(f, 7, 7, jobs=5000) == scan_exponents(f, 7, 7)
+    assert sizes == [3, 1]
 
 
 def test_orbit_f27():
