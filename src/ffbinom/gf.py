@@ -8,10 +8,15 @@ quadratic character are table lookups; all bulk operations are vectorized
 over numpy arrays of encoded elements and need those tables.
 
 The exp table is built by doubling: exp[m:2m] = exp[:m] * g^m, about log2(q)
-numpy passes.  On F_p that is a product mod p; on F_{p^n} multiplication by
-the constant g^m is an F_p-linear map, applied as an n x n matrix mod p to
-the base-p digit rows.  The log table is one scatter of the exp table.
-Larger fields keep exact scalar arithmetic through the table-free routines.
+numpy passes.  On F_p that is a product mod p.  On F_{p^n} multiplication by
+a constant c is an F_p-linear map, the n x n matrix M_c over F_p of the
+regular representation (Lidl and Niederreiter, "Finite Fields", ch. 2), and
+M_{g^2m} = M_{g^m}^2; rows are mapped through two half-width digit tables
+of M_{g^m}.  The generator and the modulus are found by powering such
+matrices as well, so no table build does polynomial arithmetic in Python.
+The log table is a scatter of the exp table, and chi is the parity of the
+log.  Larger fields keep exact scalar arithmetic through the table-free
+routines.
 
 Bulk addition and subtraction on F_{p^n} stay in the log domain too, through
 Zech's logarithms Z[k] = log(1 + g^k), one q-long table (K. Huber, "Some
@@ -203,13 +208,83 @@ def smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
     Coefficients are compared low-degree-first, so the result is
     deterministic across runs and implementations.  For n > 1 the search
     starts at constant term 1: x divides every candidate with c_0 = 0.
+
+    Up to TABLE_LIMIT candidates go in batches of doubling size.  One
+    product with a Vandermonde matrix drops those with a root in F_p, which
+    for n <= 3 leaves exactly the irreducibles; above degree 3 the rest pass
+    Rabin's test, with x^e mod f read off row 0 of the e-th power of the
+    companion matrix of f.  Larger fields test one candidate at a time with
+    is_irreducible, whose integers cannot overflow.
     """
-    c0 = range(1, p) if n > 1 else range(p)
-    for tail in itertools.product(c0, *[range(p)] * (n - 1)):
-        f = list(tail) + [1]
-        if is_irreducible(f, p):
-            return tuple(f)
+    if n == 1:
+        return (0, 1)
+    if p**n > TABLE_LIMIT:
+        for tail in itertools.product(range(1, p), *[range(p)] * (n - 1)):
+            if is_irreducible([*tail, 1], p):
+                return (*tail, 1)
+        raise FFBinomError(f"no irreducible of degree {n} over F_{p}")  # unreachable
+    vand = np.empty((n + 1, p), dtype=np.int64)  # vand[j, a] = a^j mod p
+    vand[0] = 1
+    for j in range(1, n + 1):
+        vand[j] = vand[j - 1] * np.arange(p) % p
+    place = p ** np.arange(n - 1, -1, -1, dtype=np.int64)  # c_0 is the leading digit of the order
+    exps = [p**n] + [p ** (n // t) for t in prime_factors(n)]
+    x_row = np.eye(n, dtype=np.int64)[1]  # the digits of x
+    total = (p - 1) * p ** (n - 1)
+    start, size = 0, 16
+    while start < total:
+        cands = np.arange(start, min(total, start + size), dtype=np.int64)[:, None] // place % p
+        cands[:, 0] += 1
+        cands = cands[((cands @ vand[:n] + vand[n]) % p != 0).all(axis=1)]
+        if n <= 3 and len(cands):
+            return (*cands[0].tolist(), 1)
+        if len(cands):
+            companion = np.zeros((len(cands), n, n), dtype=np.int64)  # row j: x^(j+1) mod f
+            companion[:, np.arange(n - 1), np.arange(1, n)] = 1
+            companion[:, n - 1] = -cands % p
+            powers = _matrix_powers(companion, exps, p)[:, :, 0]
+            for i in np.flatnonzero((powers[0] == x_row).all(axis=1)):
+                f = [*cands[i].tolist(), 1]
+                if all(len(_pgcd(_ptrim(((row[i] - x_row) % p).tolist()), f, p)) == 1 for row in powers[1:]):
+                    return tuple(f)
+        start += size
+        size *= 2
     raise FFBinomError(f"no irreducible of degree {n} over F_{p}")  # unreachable
+
+
+# ---------------------------------------------------------------------------
+# matrices over F_p for the field build
+
+
+def _matrix_powers(base: np.ndarray, exps: Sequence[int], p: int) -> np.ndarray:
+    """base^e mod p for every e in exps, stacked along a new first axis.
+
+    base is a stack of square int64 matrices with entries in [0, p); the
+    exponents share one chain of squarings.  Products stay exact while
+    n * (p - 1)^2 < 2^63, which holds for every field up to TABLE_LIMIT.
+    """
+    eye = np.eye(base.shape[-1], dtype=np.int64)
+    powers = np.broadcast_to(eye, (len(exps), *base.shape)).copy()
+    square = base
+    for bit in range(max(exps).bit_length()):
+        if bit:
+            square = square @ square % p
+        sel = [i for i, e in enumerate(exps) if e >> bit & 1]
+        if sel:
+            powers[sel] = powers[sel] @ square % p
+    return powers
+
+
+def _digit_table(p: int, n: int, dtype=np.int64) -> np.ndarray:
+    """Base-p digits (c_0, ..., c_{n-1}) of every x in [0, p^n), one row per x.
+
+    Viewed with shape (p,)*n in C order, digit c_i varies along axis n-1-i,
+    so each column is one broadcast write, not a division.
+    """
+    out = np.empty((p,) * n + (n,), dtype=dtype)
+    for i in range(n):
+        out[..., i] = np.arange(p, dtype=dtype).reshape((p,) + (1,) * i)
+    return out.reshape(p**n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +336,7 @@ class FieldSpec:
     # -- construction ------------------------------------------------------
 
     def _raw_mul(self, a: Elt, b: Elt) -> Elt:
-        # table-free product, used while bootstrapping the tables
+        # table-free product, the reference for mul() and the fallback above TABLE_LIMIT
         if self.n == 1:
             return a * b % self.p
         return self.encode(_pmulmod(self.decode(a), self.decode(b), self.modulus, self.p))
@@ -281,12 +356,43 @@ class FieldSpec:
             e >>= 1
         return out
 
+    def _mul_matrices(self, cs: np.ndarray) -> np.ndarray:
+        # regular representation: for each c in cs the n x n matrix over F_p of
+        # x -> c * x acting on digit rows, whose row j is the digits of c * X^j
+        # (row j + 1 is row j shifted up one degree, minus its top digit times
+        # the modulus)
+        p, n = self.p, self.n
+        low = np.array(self.modulus[:n], dtype=np.int64)
+        mats = np.empty((len(cs), n, n), dtype=np.int64)
+        mats[:, 0] = cs[:, None] // self._pp % p
+        for j in range(1, n):
+            prev = mats[:, j - 1]
+            mats[:, j, 0] = 0
+            mats[:, j, 1:] = prev[:, :-1]
+            mats[:, j] = (mats[:, j] - prev[:, -1:] * low) % p
+        return mats
+
     def _find_generator(self) -> Elt:
-        fac = prime_factors(self.q - 1)
-        cofactors = [(self.q - 1) // t for t in fac]
-        for cand in range(2, self.q):
-            if all(self._pow_slow(cand, c) != 1 for c in cofactors):
-                return cand
+        """Smallest c in [2, q) with c^((q-1)/t) != 1 for every prime t | q - 1."""
+        p, n, q = self.p, self.n, self.q
+        cofactors = [(q - 1) // t for t in prime_factors(q - 1)]
+        if n == 1:
+            for cand in range(2, q):
+                if all(pow(cand, c, p) != 1 for c in cofactors):
+                    return cand
+            raise FFBinomError("no generator found")  # unreachable
+        # Elements of F_p have order dividing p - 1, a proper divisor of
+        # q - 1, so the search starts at X = p, in batches of doubling size.
+        eye = np.eye(n, dtype=np.int64)
+        start, size = p, 2
+        while start < q:
+            cands = np.arange(start, min(q, start + size), dtype=np.int64)
+            powers = _matrix_powers(self._mul_matrices(cands), cofactors, p)
+            primitive = (powers != eye).any(axis=(2, 3)).all(axis=0)
+            if primitive.any():
+                return int(cands[primitive.argmax()])
+            start += size
+            size *= 2
         raise FFBinomError("no generator found")  # unreachable
 
     def _build_tables(self) -> None:
@@ -294,26 +400,47 @@ class FieldSpec:
         g = self._find_generator()
         exp = np.empty(q - 1, dtype=np.int64)
         exp[0] = 1
+        if n > 1:
+            # x -> x * g^m is the F_p-linear map of the matrix M of g^m, the
+            # square of the previous step's.  With x = lo + P * hi, P = p^h,
+            # the digits of x * g^m are digits(lo) @ M[:h] + digits(hi) @ M[h:]
+            # mod p: the sum of one row of each of two half-width tables,
+            # int16 since a sum of two digits is below 2p <= 2^13.  The
+            # encoded image is below q <= 2^24, so it is formed in int32.
+            h = n // 2
+            P = p**h
+            lows, highs = _digit_table(p, h), _digit_table(p, n - h)
+            place = self._pp.astype(np.int32)
+            mat = self._mul_matrices(np.array([g]))[0]
         m, gm = 1, g  # exp[:m] holds g^0 .. g^(m-1), and gm = g^m
         while m < q - 1:
             k = min(m, q - 1 - m)
             if n > 1:
-                # x -> x * g^m is F_p-linear; row j of its matrix is g^m * X^j
-                mat = np.array([self.decode(self._raw_mul(gm, p**j)) for j in range(n)], dtype=np.int64)
+                low_rows = (lows @ mat[:h] % p).astype(np.int16)
+                high_rows = (highs @ mat[h:] % p).astype(np.int16)
             for lo in range(0, k, _BUILD_CHUNK):
                 hi = min(k, lo + _BUILD_CHUNK)
                 if n == 1:
                     exp[m + lo : m + hi] = exp[lo:hi] * gm % p
                 else:
-                    digits = exp[lo:hi, None] // self._pp % p
-                    exp[m + lo : m + hi] = digits @ mat % p @ self._pp
-            gm = self._raw_mul(gm, gm)
+                    x_hi, x_lo = np.divmod(exp[lo:hi], P)
+                    digits = low_rows[x_lo]
+                    digits += high_rows[x_hi]
+                    digits -= (digits >= p) * np.int16(p)
+                    exp[m + lo : m + hi] = digits @ place
+            if n == 1:
+                gm = gm * gm % p
+            else:
+                mat = mat @ mat % p
             m += k
-        log = np.full(q, -1, dtype=np.int64)
+        log = np.empty(q, dtype=np.int64)
+        log[0] = -1
         log[exp] = np.arange(q - 1, dtype=np.int64)
-        chi = np.zeros(q, dtype=np.int8)
-        chi[exp[0::2]] = 1
-        chi[exp[1::2]] = -1
+        # chi is +1 on even logs and -1 on odd ones; log -1 at 0 is odd
+        chi = np.bitwise_and(log, 1, out=np.empty(q, dtype=np.int8), casting="unsafe")
+        chi *= -2
+        chi += 1
+        chi[0] = 0
         for arr in (exp, log, chi):
             arr.setflags(write=False)
         self.generator = g
@@ -334,6 +461,8 @@ class FieldSpec:
 
     def decode(self, value: Elt) -> list[int]:
         """Unpack an element into its coefficient vector."""
+        if not 0 <= value < self.q:
+            raise self._not_an_element(value)
         out = []
         for _ in range(self.n):
             value, c = divmod(value, self.p)
@@ -362,7 +491,14 @@ class FieldSpec:
     def neg(self, a: Elt) -> Elt:
         return self.sub(0, a)
 
+    def _not_an_element(self, x) -> FFBinomError:
+        return FFBinomError(f"{x} is not an element of F_{self.q}")
+
     def mul(self, a: Elt, b: Elt) -> Elt:
+        if not 0 <= a < self.q:
+            raise self._not_an_element(a)
+        if not 0 <= b < self.q:
+            raise self._not_an_element(b)
         if a == 0 or b == 0:
             return 0
         if self._exp is not None:
@@ -370,6 +506,8 @@ class FieldSpec:
         return self._raw_mul(a, b)
 
     def inv(self, a: Elt) -> Elt:
+        if not 0 <= a < self.q:
+            raise self._not_an_element(a)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         if self._exp is not None:
@@ -380,6 +518,8 @@ class FieldSpec:
         """x^e with 0^0 = 1 and 0^e = 0; e reduced mod q-1 on nonzero x."""
         if e < 0:
             raise FFBinomError("exponent must be nonnegative")
+        if not 0 <= x < self.q:
+            raise self._not_an_element(x)
         if x == 0:
             return 1 if e == 0 else 0
         if self._exp is not None:
@@ -388,6 +528,8 @@ class FieldSpec:
 
     def chi(self, x: Elt) -> int:
         """Quadratic character: 0 at 0, +1 on nonzero squares, -1 otherwise."""
+        if not 0 <= x < self.q:
+            raise self._not_an_element(x)
         if x == 0:
             return 0
         if self._chi is not None:
@@ -420,22 +562,16 @@ class FieldSpec:
 
     @functools.cached_property
     def _digits(self) -> np.ndarray:
-        vals = np.arange(self.q, dtype=np.int64)
-        digs = np.empty((self.q, self.n), dtype=np.int16)
-        for i in range(self.n):
-            digs[:, i] = (vals // self.p**i) % self.p
+        digs = _digit_table(self.p, self.n, np.int16)
         digs.setflags(write=False)
         return digs
 
     @functools.cached_property
     def succ_table(self) -> np.ndarray:
         """Table x -> x + 1 over all encoded elements."""
-        vals = np.arange(self.q, dtype=np.int64)
-        if self.n == 1:
-            out = (vals + 1) % self.q
-        else:
-            c0 = vals % self.p
-            out = vals - c0 + (c0 + 1) % self.p
+        # x + 1, except that a constant digit p - 1 wraps to 0: x + 1 - p
+        out = np.arange(1, self.q + 1, dtype=np.int64)
+        out[self.p - 1 :: self.p] -= self.p
         out.setflags(write=False)
         return out
 

@@ -24,12 +24,29 @@ def naive_chi(field: FieldSpec, x: int) -> int:
     return 1 if field._pow_slow(x, (field.q - 1) // 2) == 1 else -1
 
 
+def naive_generator(field: FieldSpec) -> int:
+    """Smallest c in [2, q) with c^((q-1)/t) != 1 for every prime t | q - 1,
+    by trial division and _pow_slow; the reference for
+    FieldSpec._find_generator."""
+    m, primes, t = field.q - 1, [], 2
+    while m > 1:
+        if m % t == 0:
+            primes.append(t)
+            while m % t == 0:
+                m //= t
+        t += 1
+    for c in range(2, field.q):
+        if all(field._pow_slow(c, (field.q - 1) // t) != 1 for t in primes):
+            return c
+    raise AssertionError("no generator")
+
+
 def sequential_tables(field: FieldSpec) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """Generator, exp, log and chi from q - 1 sequential _raw_mul steps.
 
     The reference for the doubling build in FieldSpec._build_tables.
     """
-    g = field._find_generator()
+    g = naive_generator(field)
     exp = np.empty(field.q - 1, dtype=np.int64)
     log = np.full(field.q, -1, dtype=np.int64)
     a = 1

@@ -71,15 +71,28 @@ def test_modulus_is_lex_smallest():
             if not reducible:
                 return tuple(f)
 
-    for p, n in [(3, 2), (3, 3), (5, 2), (7, 2), (5, 3), (3, 4), (3, 5), (3, 6), (5, 4), (7, 3)]:
+    for p, n in [(3, 2), (3, 3), (5, 2), (7, 2), (5, 3), (3, 4), (3, 5), (3, 6), (5, 4), (7, 3),
+                 (3, 7), (3, 8), (13, 3), (19, 3), (23, 3), (7, 4), (5, 5)]:
         assert make_field(p, n).modulus == first_irreducible(p, n)
 
 
+@pytest.mark.parametrize("p,n", [(3, 9), (3, 10), (3, 12), (3, 15), (5, 6), (5, 10), (7, 6), (7, 8),
+                                 (11, 6), (31, 4), (61, 4), (4093, 2), (251, 3)])
+def test_batched_modulus_search_matches_rabin_per_candidate(p, n):
+    # the companion-matrix search against is_irreducible, one candidate at a
+    # time in the same order, on degrees with one, two and three prime factors
+    expected = next((*tail, 1) for tail in itertools.product(range(1, p), *[range(p)] * (n - 1))
+                    if gf.is_irreducible([*tail, 1], p))
+    assert gf.smallest_irreducible(p, n) == expected
+
+
 @pytest.mark.parametrize("p,n", [(11, 1), (257, 1), (1019, 1), (100003, 1),
-                                 (3, 3), (3, 7), (5, 4), (7, 3), (13, 3)])
+                                 (3, 3), (3, 7), (5, 4), (7, 3), (13, 3), (19, 3), (23, 3)])
 def test_tables_match_sequential_build(monkeypatch, p, n):
     # q - 1 = 256 fills the last doubling round; every other order leaves it
-    # partial.  A 7-row chunk puts chunk edges inside every round.
+    # partial.  A 7-row chunk puts chunk edges inside every round.  On
+    # F_{13^3}, F_{19^3} and F_{23^3} the generator is not the first
+    # candidate X = p.
     g, exp, log, chi = sequential_tables(make_field(p, n))
     monkeypatch.setattr(gf, "_BUILD_CHUNK", 7)
     for f in (make_field(p, n), FieldSpec(p, n)):
@@ -87,6 +100,35 @@ def test_tables_match_sequential_build(monkeypatch, p, n):
         for table, ref in ((f._exp, exp), (f._log, log), (f._chi, chi)):
             assert table.dtype == ref.dtype
             assert (table == ref).all()
+    xs = range(f.q) if f.q < 5000 else range(0, f.q, 97)
+    assert [int(f.succ_table[x]) for x in xs] == [f.add(x, 1) for x in xs]
+    assert (f._zech == log[f.succ_table[exp]]).all()
+
+
+def test_table_build_uses_no_polynomial_arithmetic(monkeypatch):
+    # the build and the lazy tables are numpy passes: the table-free scalar
+    # routines are left to large fields and to the test oracles
+    def refuse(self, *args):
+        raise AssertionError("table-free scalar arithmetic used by the table build")
+
+    monkeypatch.setattr(FieldSpec, "_raw_mul", refuse)
+    monkeypatch.setattr(FieldSpec, "_pow_slow", refuse)
+    for p, n in [(1019, 1), (3, 5), (13, 3), (7, 5)]:
+        f = FieldSpec(p, n)
+        f.succ_table, f.sij_table, f._zech
+
+
+def test_scalar_methods_reject_non_elements():
+    f9, f7 = make_field(3, 2), make_field(7, 1)
+    big = FieldSpec(3, 16)  # no tables
+    for f, x in ((f9, 9), (f9, 10), (f9, -1), (f7, 7), (f7, -1), (big, big.q), (big, -1)):
+        for call in (lambda: f.decode(x), lambda: f.chi(x), lambda: f.mul(x, 1), lambda: f.mul(1, x),
+                     lambda: f.inv(x), lambda: f.pow(x, 2)):
+            with pytest.raises(FFBinomError, match="not an element"):
+                call()
+    with pytest.raises(FFBinomError):
+        f9.add(10, 1)  # was 2: decode dropped the overflow digit
+    assert f7.chi(6) == -1 and f9.decode(8) == [2, 2]
 
 
 def test_north_star_field_f3_11():

@@ -13,10 +13,19 @@ from hypothesis import strategies as st
 from ffbinom import boom
 from ffbinom.boom import beta_ab, beta_profile
 from ffbinom.diff import d00_condition, dij_counts
-from ffbinom.family import BinomialSpec, evaluate
+from ffbinom.family import BinomialSpec, eval_table, evaluate
 from ffbinom.gf import is_prime, make_field
 
-from naive_oracles import digit_add, digit_sub, naive_d00_condition, naive_dij_counts, packed_runs, pairwise_diff_hist
+from naive_oracles import (
+    digit_add,
+    digit_sub,
+    naive_chi,
+    naive_d00_condition,
+    naive_dij_counts,
+    naive_eval,
+    packed_runs,
+    pairwise_diff_hist,
+)
 
 _FIELDS = [(p, n) for p in range(3, 32) if is_prime(p) for n in range(1, 8) if p**n <= 3**7]
 
@@ -104,3 +113,21 @@ def test_dij_counts_match_scalar_oracle(data):
     hit = f.sub(evaluate(f, spec, f.add(x, 1)), evaluate(f, spec, x))
     b = data.draw(st.just(hit) | st.integers(0, f.q - 1))
     assert dij_counts(f, spec, b) == naive_dij_counts(f, spec, b)
+
+
+@_SETTINGS
+@given(data=st.data())
+def test_field_tables_match_scalar_definitions(data):
+    # the whole exp and log tables, and at drawn elements the character,
+    # the successor and the binomial's values, against the table-free
+    # scalar routines
+    f = data.draw(fields())
+    assert np.array_equal(np.sort(f._exp), np.arange(1, f.q))
+    assert np.array_equal(f._log[f._exp], np.arange(f.q - 1))
+    assert f._log[0] == -1
+    spec = BinomialSpec(data.draw(st.integers(1, 2 * f.q)), data.draw(st.integers(0, f.q - 1)))
+    values = eval_table(f, spec)
+    for x in data.draw(st.lists(st.integers(0, f.q - 1), min_size=1, max_size=8)) + [0, f.minus_one]:
+        assert f._chi[x] == naive_chi(f, x)
+        assert f.succ_table[x] == f.add(x, 1)
+        assert values[x] == naive_eval(f, spec, x)
