@@ -13,12 +13,17 @@ values' pairs; only a group with more than sqrt(q) distinct values pays for
 an FFT autocorrelation over the additive group, in O(q log q).
 
 The shift-differences come from family._shift_difference.  On F_p the
-shift x -> x + a is a rotation of the value table, and every difference is
-of canonical elements, so the prime-field path needs no gather and no
-integer division.  On F_{p^n} every difference is taken in the log domain by
-FieldSpec.sub_arrays, through Zech's logarithms.  Shifts a and targets b are
-checked to be elements of [0, q) on entry, as u is.  bijkl_counts reads the
-classes of x and y from FieldSpec.sij_table.
+shift x -> x + a is a rotation of the value table, so the row is two slice
+differences of canonical elements written into one array, reduced in place
+by a floor division (numpy's remainder by a scalar is several times slower).
+The prime-field path is written to allocate few q-long temporaries: the
+sort keys are packed in the row's own buffer, the sorted differences go
+back into the value table's, the first bincount of the pair kernel is its
+accumulator, and the negation fold adds the two halves of that histogram to
+each other in place.  On F_{p^n} every difference is taken in the log
+domain by FieldSpec.sub_arrays, through Zech's logarithms.  Shifts a and
+targets b are checked to be elements of [0, q) on entry, as u is.
+bijkl_counts reads the classes of x and y from FieldSpec.sij_table.
 """
 
 from __future__ import annotations
@@ -92,42 +97,58 @@ _KEY_BITS = (TABLE_LIMIT - 1).bit_length()
 def beta_profile(field: FieldSpec, spec: BinomialSpec, a: Elt = 1) -> np.ndarray:
     """beta(a, b) for every b at once via the shift-difference grouping.
 
-    x is grouped by d(x) = F(x+a) - F(x), where on F_p F(x+a) is the value
-    table rolled by -a.  One sort of the int64 keys d(x) << 24 | F(x) lists
-    the values F(x) class by class, and a shift and a mask split them again;
-    nothing depends on the order inside a class.  Classes with s*s <= q go
-    together to the pair kernel `_within_row_diff_hist`, at O(s^2) per class:
-    it forms only the s(s-1)/2 unordered pairs and bins each difference
-    together with its negation, and finds the runs from the same mask of
-    equal neighbouring differences that splits the classes.  Larger classes
+    x is grouped by d(x) = F(x+a) - F(x).  One sort of the int64 keys
+    d(x) << 24 | F(x) lists the values F(x) class by class, and a shift and
+    a mask split them again; nothing depends on the order inside a class.
+    Classes with s*s <= q go together to the pair kernel
+    `_within_row_diff_hist`, at O(s^2) per class: it forms only the s(s-1)/2
+    unordered pairs and bins each difference together with its negation,
+    and finds the runs from the same mask of equal neighbouring differences
+    that splits the classes.  When every class is that small (u outside
+    {0, +-1} with a small r), no selection runs at all.  Larger classes
     (the zero-difference one dominates) go one by one to
     `FieldSpec.outer_diff_hist`, which costs O(k^2 + q) for k*k <= q
     distinct values and O(q log q) by FFT above that.
     Each ordered pair within a class lands in exactly one bin, so the
     profile must sum to sum_c delta(a, c)^2, the sum of the squared class
     sizes; InvariantError is raised otherwise.
+
+    The keys are built in the shift-difference array, which the call owns,
+    and the sorted differences are written back into the value table's
+    buffer; past those two, the grouping allocates only the class mask and
+    the per-class `ends` and `sizes`.
     """
     _check_element(field, "a", a)
     if a == 0:
         raise ZeroShiftError("a must be nonzero")
     q = field.q
     fv = eval_table(field, spec)
-    keys = _shift_difference(field, fv, a) << _KEY_BITS
+    keys = _shift_difference(field, fv, a)
+    keys <<= _KEY_BITS
     keys |= fv
     keys.sort()
-    ds = keys >> _KEY_BITS
+    ds = np.right_shift(keys, _KEY_BITS, out=fv)
     grouped = np.bitwise_and(keys, (1 << _KEY_BITS) - 1, out=keys)
-    # same[x]: positions x and x + 1 lie in one class
-    same = np.zeros(q, dtype=bool)
-    np.equal(ds[1:], ds[:-1], out=same[:-1])
-    ends = np.flatnonzero(~same) + 1
-    sizes = np.diff(ends, prepend=0)
-    small = sizes * sizes <= q
-    keep = slice(None) if small.all() else np.repeat(small, sizes)
-    profile = _within_row_diff_hist(field, grouped[keep], same[keep])
-    for c in np.flatnonzero(~small):
-        profile += field.outer_diff_hist(grouped[ends[c] - sizes[c] : ends[c]])
-    pairs = int((sizes * sizes).sum())
+    # last[x]: position x ends a class; negated in place it becomes same[x],
+    # positions x and x + 1 lie in one class
+    last = np.empty(q, dtype=bool)
+    np.not_equal(ds[1:], ds[:-1], out=last[:-1])
+    last[-1] = True
+    ends = np.flatnonzero(last)
+    ends += 1
+    same = np.logical_not(last, out=last)
+    sizes = np.empty_like(ends)
+    sizes[0] = ends[0]
+    np.subtract(ends[1:], ends[:-1], out=sizes[1:])
+    if int(sizes.max()) ** 2 <= q:
+        profile = _within_row_diff_hist(field, grouped, same)
+    else:
+        small = sizes * sizes <= q
+        keep = np.repeat(small, sizes)
+        profile = _within_row_diff_hist(field, grouped[keep], same[keep])
+        for c in np.flatnonzero(~small):
+            profile += field.outer_diff_hist(grouped[ends[c] - sizes[c] : ends[c]])
+    pairs = int(np.dot(sizes, sizes))
     if int(profile.sum()) != pairs:
         raise InvariantError(f"boomerang profile sums to {int(profile.sum())}, not {pairs} = sum of squared class sizes")
     return profile
@@ -140,16 +161,34 @@ def _within_row_diff_hist(field: FieldSpec, values: np.ndarray, same: np.ndarray
     and x + 1 lie in one run (so same[-1] is False).  Only the pairs i < j
     are formed, and one of each pair's two differences is binned: the other
     is its negation, so the histogram is h(b) + h(-b), plus one zero
-    difference per value for i = j.
+    difference per value for i = j.  The first bincount is the accumulator.
+    On F_p, -b is q - b, and the fold adds the two halves of h to each other
+    in place.
     """
     q, n = field.q, field.n
-    half = np.zeros(q, dtype=np.int64)
+    half = None
     for diffs in _pooled(_offset_pair_diffs(field, values, same), _PAIR_CHUNK):
-        half += np.bincount(diffs, minlength=q)
-    # -b negates every base-p digit: j -> (p - j) % p along each axis of the
-    # (p,)*n reshape, which is a flip followed by a shift by one
-    hist = np.roll(np.flip(half.reshape((field.p,) * n)), 1, axis=tuple(range(n))).ravel()
-    hist += half
+        counts = np.bincount(diffs, minlength=q)
+        if half is None:
+            half = counts
+        else:
+            half += counts
+    if half is None:
+        half = np.zeros(q, dtype=np.int64)
+    if n == 1:
+        # b in [1, h) pairs with q - b in [h, q): the two slices do not
+        # overlap, so numpy adds them without copying either
+        h = (q + 1) // 2
+        low, high = half[1:h], half[: h - 1 : -1]
+        low += high
+        high[...] = low
+        half[0] *= 2
+        hist = half
+    else:
+        # -b negates every base-p digit: j -> (p - j) % p along each axis of
+        # the (p,)*n reshape, which is a flip followed by a shift by one
+        hist = np.roll(np.flip(half.reshape((field.p,) * n)), 1, axis=tuple(range(n))).ravel()
+        hist += half
     hist[0] += len(values)
     return hist
 
@@ -157,18 +196,24 @@ def _within_row_diff_hist(field: FieldSpec, values: np.ndarray, same: np.ndarray
 def _offset_pair_diffs(field: FieldSpec, values: np.ndarray, same: np.ndarray):
     # the pairs (i, i + t) inside a run, for t = 1, 2, ...: a run of size s
     # has s - t of them, and i stays while i + t + 1 is still in its run;
-    # yielded in pieces of at most _PAIR_CHUNK differences
+    # values[i] is gathered once and compressed with i.  Yielded in pieces
+    # of at most _PAIR_CHUNK differences
     i, t = np.flatnonzero(same), 1
+    vi = values[i]
     while len(i):
         j = i + t
         for lo in range(0, len(i), _PAIR_CHUNK):
-            a, b = values[i[lo : lo + _PAIR_CHUNK]], values[j[lo : lo + _PAIR_CHUNK]]
+            a, b = vi[lo : lo + _PAIR_CHUNK], values[j[lo : lo + _PAIR_CHUNK]]
             if field.n == 1:
                 # |b - a| is b - a or a - b, each in [0, q)
-                yield np.abs(b - a)
+                b -= a
+                yield np.abs(b, out=b)
             else:
                 yield field.sub_arrays(b, a)
-        i = i[same[j]]
+        # an index gather, not a boolean-mask selection: the mask is
+        # irregular, and numpy selects by it several times slower
+        stay = np.flatnonzero(same[j])
+        i, vi = i[stay], vi[stay]
         t += 1
 
 
@@ -188,9 +233,11 @@ def _pooled(pieces, size: int):
 def boom_spectrum(field: FieldSpec, spec: BinomialSpec) -> BoomSpectrum:
     """Spectrum over b != 0; beta_profile checks the sum identity."""
     profile = beta_profile(field, spec)
+    # counts has one entry per value up to the largest, so its length gives
+    # the uniformity without another pass (q >= 3, so profile[1:] is not empty)
     counts = np.bincount(profile[1:])
     nu = {int(i): int(c) for i, c in enumerate(counts) if c}
-    return BoomSpectrum(nu, int(profile[1:].max(initial=0)))
+    return BoomSpectrum(nu, len(counts) - 1)
 
 
 def beta_ab(field: FieldSpec, spec: BinomialSpec, a: Elt, b: Elt) -> int:

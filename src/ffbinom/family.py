@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FFBinomError
-from .gf import Elt, FieldSpec
+from .gf import Elt, FieldSpec, _reduce
 
 
 @dataclass(frozen=True)
@@ -71,26 +71,37 @@ def eval_table(field: FieldSpec, spec: BinomialSpec) -> np.ndarray:
     Computed in the log domain as one gather: for x = g^k != 0 the value is
     g^(k*r + s), where s is the log of 1 + u on squares (k even) and of 1 - u
     on non-squares (k odd).  A factor of 0 (u = -1 or u = 1) zeroes that half
-    of the field, and 0 maps to 0.
+    of the field after the gather, so that half takes the other half's s and
+    the parity pass is skipped; 0 maps to 0.  Besides the output, the call
+    allocates one q-long array, the exponents: the parity terms, the quotient
+    of the reduction mod q - 1 (gf._reduce) and the values are all written
+    into the output's buffer.
     """
     _check_element(field, "u", spec.u)
     field._require_tables()
     m = field.q - 1
     factors = (field.add(1, spec.u), field.sub(1, spec.u))
-    shift = field._log[list(factors)]
+    # s0, s1: the logs of the factors, a zero factor taking the other's log
+    s0, s1 = (int(field._log[f or factors[1 - k]]) for k, f in enumerate(factors))
     logs = field._log[1:]
-    parity = logs & 1
-    e = logs * (spec.r % m)
-    e += shift[0]
-    e += parity * (shift[1] - shift[0])
-    e %= m
     out = np.empty(field.q, dtype=np.int64)
     out[0] = 0
-    # e is already reduced, and mode="clip" lets take write into out unbuffered
-    np.take(field._exp, e, out=out[1:], mode="clip")
+    rest = out[1:]
+    e = logs * (spec.r % m)
+    e += s0
+    if s1 != s0:
+        np.bitwise_and(logs, 1, out=rest)
+        rest *= s1 - s0
+        e += rest
+    # _reduce leaves e in [0, m), and mode="clip" lets take write into out
+    # unbuffered
+    np.take(field._exp, _reduce(e, m, rest), out=rest, mode="clip")
     for k, factor in enumerate(factors):
         if factor == 0:
-            out[1:] *= parity ^ k
+            # keep the half whose log parity is not k; e is free again
+            keep = np.bitwise_and(logs, 1, out=e)
+            keep ^= k
+            rest *= keep
     return out
 
 
@@ -105,8 +116,21 @@ def _shifted(field: FieldSpec, values: np.ndarray, a: Elt) -> np.ndarray:
 
 def _shift_difference(field: FieldSpec, values: np.ndarray, a: Elt = 1) -> np.ndarray:
     """F(x + a) - F(x) for every x, given values[x] = F(x): the one place
-    the difference rows and the S00 collision filter form it."""
-    return field.sub_arrays(_shifted(field, values, a), values)
+    the difference rows, the boomerang grouping and the S00 collision filter
+    form it.  The result is a new array that the caller owns.
+
+    On F_p, x + a is x + a - q from x = q - a on, so the row is two slice
+    differences written into one array, each in (-q, q), and then reduced
+    in place (gf._reduce): no rotated copy of the values.  On F_{p^n} it is
+    a gather and a Zech-logarithm subtraction.
+    """
+    if field.n > 1:
+        return field.sub_arrays(_shifted(field, values, a), values)
+    q = field.q
+    d = np.empty(q, dtype=np.int64)
+    np.subtract(values[a:], values[: q - a], out=d[: q - a])
+    np.subtract(values[:a], values[q - a :], out=d[q - a :])
+    return _reduce(d, q)
 
 
 def table1_exponents(field: FieldSpec) -> list[ExponentFamily]:

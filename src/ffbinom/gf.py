@@ -55,6 +55,21 @@ _MAX_ORDER = 1 << 63
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+def _reduce(e, m: int, scratch: np.ndarray | None = None):
+    """e mod m, in place for an int64 array that the caller owns.
+
+    Formed as e - (e // m) * m: numpy divides int64 by a scalar about four
+    times faster than it takes the remainder.  Floor division makes it
+    exact for negative e as well, like %.  The quotient goes to `scratch`
+    where one is given (an owned buffer of e's shape), else to one new
+    temporary.  A scalar e is returned as a new scalar.
+    """
+    t = np.floor_divide(e, m, out=scratch)
+    t *= m
+    e -= t
+    return e
+
+
 def is_prime(m: int) -> bool:
     """Deterministic Miller-Rabin for m < 3.3e24."""
     if m < 2:
@@ -480,11 +495,13 @@ class FieldSpec:
 
     def add(self, a: Elt, b: Elt) -> Elt:
         if self.n == 1:
+            self._check_prime_elements(a, b)
             return (a + b) % self.p
         return self.encode((ca + cb) % self.p for ca, cb in zip(self.decode(a), self.decode(b)))
 
     def sub(self, a: Elt, b: Elt) -> Elt:
         if self.n == 1:
+            self._check_prime_elements(a, b)
             return (a - b) % self.p
         return self.encode((ca - cb) % self.p for ca, cb in zip(self.decode(a), self.decode(b)))
 
@@ -493,6 +510,13 @@ class FieldSpec:
 
     def _not_an_element(self, x) -> FFBinomError:
         return FFBinomError(f"{x} is not an element of F_{self.q}")
+
+    def _check_prime_elements(self, *xs: Elt) -> None:
+        # on F_{p^n} decode rejects what is not in [0, q); on F_p the
+        # integer arithmetic would reduce it silently
+        for x in xs:
+            if not 0 <= x < self.q:
+                raise self._not_an_element(x)
 
     def mul(self, a: Elt, b: Elt) -> Elt:
         if not 0 <= a < self.q:
@@ -608,11 +632,12 @@ class FieldSpec:
     def add_arrays(self, a, b) -> np.ndarray:
         """Elementwise field addition of encoded arrays (either may be a scalar).
 
-        On F_p any integers are reduced mod q.  On F_{p^n} both operands must
-        be canonical, in [0, q), and the sum is taken by Zech's logarithms.
+        On F_p any int64 integers are reduced mod q, by _reduce.  On F_{p^n}
+        both operands must be canonical, in [0, q), and the sum is taken by
+        Zech's logarithms.
         """
         if self.n == 1:
-            return (a + b) % self.q
+            return _reduce(np.add(a, b), self.q)
         return self._zech_sum(a, b, 0)
 
     def sub_arrays(self, a, b) -> np.ndarray:
@@ -653,9 +678,10 @@ class FieldSpec:
         """Elementwise field product via the discrete-log table."""
         self._require_tables()
         a, b = np.asarray(a), np.asarray(b)
-        # log(0) = -1 still indexes exp; those products are zeroed after
-        out = self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
-        out[(a == 0) | (b == 0)] = 0
+        # log(0) = -1 reduces to a valid index of exp; those products are
+        # zeroed after by the nonzero mask
+        out = self._exp[_reduce(np.add(self._log[a], self._log[b]), self.q - 1)]
+        out *= (a != 0) & (b != 0)
         return out
 
     def power_table(self, e: int) -> np.ndarray:
@@ -663,11 +689,14 @@ class FieldSpec:
         if e < 0:
             raise FFBinomError("exponent must be nonnegative")
         self._require_tables()
-        er = e % (self.q - 1)
+        m = self.q - 1
         out = np.empty(self.q, dtype=np.int64)
         out[0] = 1 if e == 0 else 0
-        # indices are already reduced; mode="clip" lets take write into out unbuffered
-        np.take(self._exp, self._log[1:] * er % (self.q - 1), out=out[1:], mode="clip")
+        # out[1:] holds the quotient of the reduction, then the values; the
+        # indices are already reduced, and mode="clip" lets take write into
+        # out unbuffered
+        logs = self._log[1:] * (e % m)
+        np.take(self._exp, _reduce(logs, m, out[1:]), out=out[1:], mode="clip")
         return out
 
     def outer_diff_hist(self, values: np.ndarray) -> np.ndarray:

@@ -79,6 +79,12 @@ def naive_delta_row(field: FieldSpec, spec: BinomialSpec) -> Counter:
     return row
 
 
+def naive_shift_difference(field: FieldSpec, values, a: int) -> list[int]:
+    """values[x + a] - values[x] for every x, one scalar field.add and
+    field.sub per x; the reference for family._shift_difference."""
+    return [field.sub(int(values[field.add(x, a)]), int(values[x])) for x in field.elements()]
+
+
 def naive_dij_counts(field: FieldSpec, spec: BinomialSpec, b: int) -> DijCounts:
     """Solutions of F(x+1) - F(x) = b tallied by FieldSpec.sij_classify,
     one scalar evaluation and subtraction per x; the reference for

@@ -131,6 +131,34 @@ def test_scalar_methods_reject_non_elements():
     assert f7.chi(6) == -1 and f9.decode(8) == [2, 2]
 
 
+def test_prime_field_add_sub_neg_reject_non_elements():
+    # on F_p they used to reduce any integer (add(10, 1) was 4), while
+    # F_{p^n} raised through decode; the bulk add_arrays still reduces
+    f7 = make_field(7, 1)
+    for x in (7, 10, -1):
+        for call in (lambda: f7.add(x, 1), lambda: f7.add(1, x), lambda: f7.sub(x, 1), lambda: f7.sub(1, x),
+                     lambda: f7.neg(x)):
+            with pytest.raises(FFBinomError, match="not an element"):
+                call()
+    assert (f7.add(6, 1), f7.sub(0, 1), f7.neg(3), f7.neg(0)) == (0, 6, 4, 0)
+    assert f7.add_arrays(np.array([10, -1, 6]), 1).tolist() == [4, 0, 0]
+
+
+def test_reduce_matches_remainder():
+    # gf._reduce, e - (e // m) * m, against Python's % on negative operands
+    # and on magnitudes up to (2^24 - 1)^2, the largest product of two logs
+    # below TABLE_LIMIT, with and without a scratch buffer
+    top = (gf.TABLE_LIMIT - 1) ** 2
+    rng = np.random.default_rng(11)
+    e = np.concatenate([np.arange(-40, 41), rng.integers(-top, top + 1, 5000), [top, top - 1, -top, 1 - top]])
+    for m in (1, 2, 3, 10, 20010, 20011, gf.TABLE_LIMIT - 2, gf.TABLE_LIMIT - 1):
+        expected = [x % m for x in e.tolist()]
+        assert gf._reduce(e.copy(), m).tolist() == expected
+        scratch = np.empty_like(e)
+        assert gf._reduce(e.copy(), m, scratch).tolist() == expected
+    assert gf._reduce(np.int64(-7), 5) == 3 and gf._reduce(-top, 7) == -top % 7
+
+
 def test_north_star_field_f3_11():
     f = make_field(3, 11)
     assert f.modulus[0] != 0

@@ -1,7 +1,8 @@
 """Property checks of the fast kernels on random small fields.
 
-Fields are F_{p^n} with p <= 31 and q <= 3^7.  Examples are derandomized
-and bounded, so every run checks the same inputs.
+Fields are F_{p^n} with p <= 31 and q <= 3^7, and for the prime-field legs
+F_p with p < 600 (p < 50 where the oracle is quadratic in q).  Examples are
+derandomized and bounded, so every run checks the same inputs.
 """
 
 import math
@@ -13,21 +14,25 @@ from hypothesis import strategies as st
 from ffbinom import boom
 from ffbinom.boom import beta_ab, beta_profile
 from ffbinom.diff import d00_condition, dij_counts
-from ffbinom.family import BinomialSpec, eval_table, evaluate
+from ffbinom.family import BinomialSpec, _shift_difference, eval_table, evaluate
 from ffbinom.gf import is_prime, make_field
 
 from naive_oracles import (
     digit_add,
     digit_sub,
+    naive_beta_count,
     naive_chi,
     naive_d00_condition,
     naive_dij_counts,
     naive_eval,
+    naive_shift_difference,
     packed_runs,
     pairwise_diff_hist,
 )
 
 _FIELDS = [(p, n) for p in range(3, 32) if is_prime(p) for n in range(1, 8) if p**n <= 3**7]
+
+_PRIMES = [p for p in range(3, 600) if is_prime(p)]
 
 _SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -35,6 +40,17 @@ _SETTINGS = settings(derandomize=True, database=None, deadline=None, max_example
 @st.composite
 def fields(draw):
     return make_field(*draw(st.sampled_from(_FIELDS)))
+
+
+@st.composite
+def prime_fields(draw, below: int = 600):
+    return make_field(draw(st.sampled_from([p for p in _PRIMES if p < below])), 1)
+
+
+def shifts(f):
+    # the edges of the rotation (a = 1, a = q - 1 and the middle) and any
+    # nonzero element
+    return st.sampled_from([1, f.q - 1, f.q // 2, f.q // 2 + 1]) | st.integers(1, f.q - 1)
 
 
 @_SETTINGS
@@ -131,3 +147,63 @@ def test_field_tables_match_scalar_definitions(data):
         assert f._chi[x] == naive_chi(f, x)
         assert f.succ_table[x] == f.add(x, 1)
         assert values[x] == naive_eval(f, spec, x)
+
+
+@_SETTINGS
+@given(data=st.data())
+def test_prime_field_shift_difference_matches_scalar_oracle(data):
+    # values drawn anywhere in [0, q), or pinned to the extremes 0 and q - 1
+    # where the differences are largest; the row must be canonical
+    f = data.draw(prime_fields())
+    a = data.draw(shifts(f))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    extremes = data.draw(st.booleans())
+    values = rng.choice([0, f.q - 1], f.q) if extremes else rng.integers(0, f.q, f.q)
+    row = _shift_difference(f, values, a)
+    assert row.min() >= 0 and row.max() < f.q
+    assert row.tolist() == naive_shift_difference(f, values, a)
+
+
+@_SETTINGS
+@given(data=st.data())
+def test_eval_table_matches_naive_eval(data):
+    # u in {0, 1, -1} (a factor 1 + u or 1 - u of 0 or both factors 1) and
+    # any element; on F_p every x is checked, on F_{p^n} drawn x and both
+    # parities of the log (x = 1 and x = g)
+    f = data.draw(fields() | prime_fields())
+    u = data.draw(st.sampled_from([0, 1, f.minus_one]) | st.integers(0, f.q - 1))
+    r = data.draw(st.integers(1, 2 * f.q) | st.sampled_from([f.q - 1, 2 * (f.q - 1)]))
+    spec = BinomialSpec(r, u)
+    values = eval_table(f, spec)
+    if f.n == 1:
+        xs = list(f.elements())
+    else:
+        xs = data.draw(st.lists(st.integers(0, f.q - 1), max_size=12)) + [0, 1, f.generator, f.minus_one]
+    assert [int(values[x]) for x in xs] == [naive_eval(f, spec, x) for x in xs]
+
+
+@_SETTINGS
+@given(data=st.data())
+def test_prime_field_beta_profile_matches_naive_count(data):
+    # b = 0, the largest entry and a few drawn targets, since the oracle
+    # forms all q^2 pairs per b
+    f = data.draw(prime_fields(below=50))
+    spec = BinomialSpec(data.draw(st.integers(1, 2 * f.q)), data.draw(st.integers(0, f.q - 1)))
+    a = data.draw(shifts(f))
+    profile = beta_profile(f, spec, a)
+    bs = {0, int(profile[1:].argmax()) + 1, *data.draw(st.lists(st.integers(0, f.q - 1), max_size=2))}
+    for b in sorted(bs):
+        assert profile[b] == naive_beta_count(f, spec, a, b)
+
+
+@_SETTINGS
+@given(data=st.data())
+def test_within_row_diff_hist_without_pairs(data):
+    # every run a singleton: no pair is formed, and only the zero difference
+    # of each value with itself is counted
+    f = data.draw(fields() | prime_fields())
+    values = data.draw(st.lists(st.integers(0, f.q - 1), min_size=1, max_size=40))
+    expected = sum(pairwise_diff_hist(f, np.array([v], dtype=np.int64)) for v in values)
+    assert (boom._within_row_diff_hist(f, *packed_runs([[v] for v in values])) == expected).all()
+    empty = boom._within_row_diff_hist(f, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool))
+    assert empty.shape == (f.q,) and not empty.any()
