@@ -43,6 +43,10 @@ _BIJKL_KEYS = tuple(f"{i}{j}{k}{l}" for i in "01" for j in "01" for k in "01" fo
 class BoomSpectrum:
     """Multiplicities nu_i = #{b != 0 : beta(1, b) = i}.
 
+    uniformity is the largest beta(1, b), the maximum of the a = 1 row.
+    When q = 3 (mod 4) every row is the a = 1 row with b rescaled, so this
+    is the boomerang uniformity; when q = 1 (mod 4) another row can be
+    higher.
     Slotted, so a caller that keeps many spectra holds no per-instance
     __dict__.
     """

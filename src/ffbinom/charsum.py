@@ -108,7 +108,7 @@ def odd_fn_sum_check(field: FieldSpec, f: Callable[[Elt], Elt]) -> int:
     """Sum of chi(f(x)) for an odd f when q = 3 (mod 4); always zero."""
     if field.q % 4 != 3:
         raise WrongResidueError(f"q = {field.q} is not 3 mod 4")
-    field._require_tables()  # without tables its 3q scalar calls would not finish
+    field._require_tables()  # chi needs them: refuse before the q-long oddness loop
     for x in field.elements():
         if f(field.neg(x)) != field.neg(f(x)):
             raise NotOddError(f"f(-x) != -f(x) at x = {x}")

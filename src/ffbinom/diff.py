@@ -20,7 +20,14 @@ from .gf import Elt, FieldSpec
 
 @dataclass
 class DiffSpectrum:
-    """Multiplicities omega_i = #{b : delta(1, b) = i} over the a = 1 row."""
+    """Multiplicities omega_i = #{b : delta(1, b) = i} over the a = 1 row.
+
+    uniformity is the largest delta(1, b), the maximum of the a = 1 row.
+    When q = 3 (mod 4), the case of every theorem checked here, each a != 0
+    is s or -s for a square s, each row is the a = 1 row with b rescaled,
+    and this is the differential uniformity; when q = 1 (mod 4) another row
+    can be higher.
+    """
 
     omega: dict[int, int]
     uniformity: int

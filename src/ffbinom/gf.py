@@ -15,8 +15,9 @@ M_{g^2m} = M_{g^m}^2; rows are mapped through two half-width digit tables
 of M_{g^m}.  The generator and the modulus are found by powering such
 matrices as well, so no table build does polynomial arithmetic in Python.
 The log table is a scatter of the exp table, and chi is the parity of the
-log.  Larger fields keep exact scalar arithmetic through the table-free
-routines.
+log.  Multiplication, inversion, powering and chi are lookups only: above
+TABLE_LIMIT a field carries p, n, q and its modulus, and those raise
+FFBinomError like the bulk operations.
 
 Bulk addition and subtraction on F_{p^n} stay in the log domain too, through
 Zech's logarithms Z[k] = log(1 + g^k), one q-long table (K. Huber, "Some
@@ -37,8 +38,8 @@ from .errors import BadDegreeError, EvenCharacteristicError, FFBinomError, Invar
 
 Elt = int
 
-# Above this order no exp/log tables are built: scalar arithmetic still works,
-# bulk helpers raise FFBinomError.
+# Above this order no exp/log tables are built: scalar add, sub and neg still
+# work, while mul, inv, pow, chi and the bulk helpers raise FFBinomError.
 TABLE_LIMIT = 1 << 24
 
 # Rows per numpy pass of the exp-table build: its temporaries stay
@@ -350,27 +351,6 @@ class FieldSpec:
 
     # -- construction ------------------------------------------------------
 
-    def _raw_mul(self, a: Elt, b: Elt) -> Elt:
-        # table-free product, the reference for mul() and the fallback above TABLE_LIMIT
-        if self.n == 1:
-            return a * b % self.p
-        return self.encode(_pmulmod(self.decode(a), self.decode(b), self.modulus, self.p))
-
-    def _pow_slow(self, x: Elt, e: int) -> Elt:
-        # square-and-multiply; reference semantics for pow()
-        if e < 0:
-            raise FFBinomError("exponent must be nonnegative")
-        if x == 0:
-            return 1 if e == 0 else 0
-        e %= self.q - 1
-        out, base = 1, x
-        while e:
-            if e & 1:
-                out = self._raw_mul(out, base)
-            base = self._raw_mul(base, base)
-            e >>= 1
-        return out
-
     def _mul_matrices(self, cs: np.ndarray) -> np.ndarray:
         # regular representation: for each c in cs the n x n matrix over F_p of
         # x -> c * x acting on digit rows, whose row j is the digits of c * X^j
@@ -523,20 +503,20 @@ class FieldSpec:
             raise self._not_an_element(a)
         if not 0 <= b < self.q:
             raise self._not_an_element(b)
+        if self._exp is None:
+            raise self._no_tables()
         if a == 0 or b == 0:
             return 0
-        if self._exp is not None:
-            return int(self._exp[(self._log[a] + self._log[b]) % (self.q - 1)])
-        return self._raw_mul(a, b)
+        return int(self._exp[(self._log[a] + self._log[b]) % (self.q - 1)])
 
     def inv(self, a: Elt) -> Elt:
         if not 0 <= a < self.q:
             raise self._not_an_element(a)
+        if self._exp is None:
+            raise self._no_tables()
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self._exp is not None:
-            return int(self._exp[(-self._log[a]) % (self.q - 1)])
-        return self._pow_slow(a, self.q - 2)
+        return int(self._exp[(-self._log[a]) % (self.q - 1)])
 
     def pow(self, x: Elt, e: int) -> Elt:
         """x^e with 0^0 = 1 and 0^e = 0; e reduced mod q-1 on nonzero x."""
@@ -544,22 +524,19 @@ class FieldSpec:
             raise FFBinomError("exponent must be nonnegative")
         if not 0 <= x < self.q:
             raise self._not_an_element(x)
+        if self._exp is None:
+            raise self._no_tables()
         if x == 0:
             return 1 if e == 0 else 0
-        if self._exp is not None:
-            return int(self._exp[self._log[x] * (e % (self.q - 1)) % (self.q - 1)])
-        return self._pow_slow(x, e)
+        return int(self._exp[self._log[x] * (e % (self.q - 1)) % (self.q - 1)])
 
     def chi(self, x: Elt) -> int:
         """Quadratic character: 0 at 0, +1 on nonzero squares, -1 otherwise."""
         if not 0 <= x < self.q:
             raise self._not_an_element(x)
-        if x == 0:
-            return 0
-        if self._chi is not None:
-            return int(self._chi[x])
-        t = self._pow_slow(x, (self.q - 1) // 2)
-        return 1 if t == 1 else -1
+        if self._exp is None:
+            raise self._no_tables()
+        return int(self._chi[x])
 
     # -- S_ij partition ------------------------------------------------------
 
@@ -586,6 +563,7 @@ class FieldSpec:
 
     @functools.cached_property
     def _digits(self) -> np.ndarray:
+        self._require_tables()
         digs = _digit_table(self.p, self.n, np.int16)
         digs.setflags(write=False)
         return digs
@@ -593,6 +571,7 @@ class FieldSpec:
     @functools.cached_property
     def succ_table(self) -> np.ndarray:
         """Table x -> x + 1 over all encoded elements."""
+        self._require_tables()
         # x + 1, except that a constant digit p - 1 wraps to 0: x + 1 - p
         out = np.arange(1, self.q + 1, dtype=np.int64)
         out[self.p - 1 :: self.p] -= self.p
@@ -625,9 +604,12 @@ class FieldSpec:
         self._require_tables()
         return self._chi
 
+    def _no_tables(self) -> FFBinomError:
+        return FFBinomError(f"no tables for q = {self.q} > {TABLE_LIMIT}")
+
     def _require_tables(self) -> None:
         if self._exp is None:
-            raise FFBinomError(f"no tables for q = {self.q} > {TABLE_LIMIT}")
+            raise self._no_tables()
 
     def add_arrays(self, a, b) -> np.ndarray:
         """Elementwise field addition of encoded arrays (either may be a scalar).

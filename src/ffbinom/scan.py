@@ -40,8 +40,10 @@ class ScanResult:
     in_table1: str | None
     cm_partner: int | None
     delta10: int | None  # measured only when d00_holds
-    delta_max: int | None  # max delta(1, b) over b != 0
-    beta_max: int | None  # max beta(1, b) over b != 0
+    # maxima of the a = 1 row over b != 0, which are the uniformities over
+    # every a != 0 when q = 3 (mod 4) and can be lower when q = 1 (mod 4)
+    delta_max: int | None  # max delta(1, b)
+    beta_max: int | None  # max beta(1, b)
 
     def to_json_line(self) -> str:
         d = asdict(self)

@@ -1,11 +1,11 @@
 """Definitional brute-force oracles for the tests.
 
 These deliberately avoid the vectorized table paths: field arithmetic goes
-through the table-free scalar routines (_raw_mul / _pow_slow), through
-FieldSpec's scalar methods one element at a time (naive_dij_counts,
-naive_d00_condition) or, in bulk, through the base-p digits of the
-encodings, and the prime field variants below use nothing but Python
-integers.
+through the table-free raw_mul and pow_slow below (polynomial products mod
+the field's modulus, and square-and-multiply), through FieldSpec's scalar
+methods one element at a time (naive_dij_counts, naive_d00_condition) or,
+in bulk, through the base-p digits of the encodings, and the prime field
+variants below use nothing but Python integers.
 """
 
 from collections import Counter
@@ -14,19 +14,43 @@ import numpy as np
 
 from ffbinom.boom import BijklCounts
 from ffbinom.diff import CollisionReport, DijCounts
+from ffbinom.errors import FFBinomError
 from ffbinom.family import BinomialSpec, evaluate
-from ffbinom.gf import FieldSpec, SijClass
+from ffbinom.gf import FieldSpec, SijClass, _pmulmod
+
+
+def raw_mul(field: FieldSpec, a: int, b: int) -> int:
+    """a * b by a polynomial product mod the modulus; the reference for mul()."""
+    if field.n == 1:
+        return a * b % field.p
+    return field.encode(_pmulmod(field.decode(a), field.decode(b), field.modulus, field.p))
+
+
+def pow_slow(field: FieldSpec, x: int, e: int) -> int:
+    """x^e by square-and-multiply over raw_mul; the reference for pow()."""
+    if e < 0:
+        raise FFBinomError("exponent must be nonnegative")
+    if x == 0:
+        return 1 if e == 0 else 0
+    e %= field.q - 1
+    out, base = 1, x
+    while e:
+        if e & 1:
+            out = raw_mul(field, out, base)
+        base = raw_mul(field, base, base)
+        e >>= 1
+    return out
 
 
 def naive_chi(field: FieldSpec, x: int) -> int:
     if x == 0:
         return 0
-    return 1 if field._pow_slow(x, (field.q - 1) // 2) == 1 else -1
+    return 1 if pow_slow(field, x, (field.q - 1) // 2) == 1 else -1
 
 
 def naive_generator(field: FieldSpec) -> int:
     """Smallest c in [2, q) with c^((q-1)/t) != 1 for every prime t | q - 1,
-    by trial division and _pow_slow; the reference for
+    by trial division and pow_slow; the reference for
     FieldSpec._find_generator."""
     m, primes, t = field.q - 1, [], 2
     while m > 1:
@@ -36,13 +60,13 @@ def naive_generator(field: FieldSpec) -> int:
                 m //= t
         t += 1
     for c in range(2, field.q):
-        if all(field._pow_slow(c, (field.q - 1) // t) != 1 for t in primes):
+        if all(pow_slow(field, c, (field.q - 1) // t) != 1 for t in primes):
             return c
     raise AssertionError("no generator")
 
 
 def sequential_tables(field: FieldSpec) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """Generator, exp, log and chi from q - 1 sequential _raw_mul steps.
+    """Generator, exp, log and chi from q - 1 sequential raw_mul steps.
 
     The reference for the doubling build in FieldSpec._build_tables.
     """
@@ -53,7 +77,7 @@ def sequential_tables(field: FieldSpec) -> tuple[int, np.ndarray, np.ndarray, np
     for i in range(field.q - 1):
         exp[i] = a
         log[a] = i
-        a = field._raw_mul(a, g)
+        a = raw_mul(field, a, g)
     chi = np.zeros(field.q, dtype=np.int8)
     chi[exp[0::2]] = 1
     chi[exp[1::2]] = -1
@@ -64,7 +88,7 @@ def naive_eval(field: FieldSpec, spec: BinomialSpec, x: int) -> int:
     if x == 0:
         return 0
     factor = field.add(1, spec.u) if naive_chi(field, x) == 1 else field.sub(1, spec.u)
-    return field._raw_mul(field._pow_slow(x, spec.r), factor)
+    return raw_mul(field, pow_slow(field, x, spec.r), factor)
 
 
 def naive_values(field: FieldSpec, spec: BinomialSpec) -> list[int]:

@@ -227,6 +227,27 @@ def test_bulk_ops_above_table_limit_exit_1(capsys):
         assert "no tables for q = 16777259" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,modulus,families",
+    [
+        (["--p", "3", "--n", "16"], [1] + [0] * 12 + [1, 1, 0, 1], []),
+        (["--p", "16777259"], None, [("p_power_plus_one", 1, 16777260, 2), ("cube", None, 3, 1),
+                                     ("cube_inverse", None, 11184839, 1)]),
+    ],
+)
+def test_field_without_tables_keeps_info_and_families(capsys, argv, modulus, families):
+    # above the table limit a field carries p, n, q and its modulus, which is
+    # all that field info and families read
+    code, out = run_cli(capsys, "field", "info", *argv)
+    assert code == 0
+    info = json.loads(out)
+    assert info["modulus"] == modulus and info["generator"] is None
+    assert info["q"] == info["p"] ** info["n"] > 2**24
+    code, out = run_cli(capsys, "families", *argv)
+    assert code == 0
+    assert [(row["name"], row["k"], row["r"], row["gcd"]) for row in json.loads(out)] == families
+
+
 def test_u_outside_field_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["spectrum", "diff", "--p", "11", "--n", "1", "--r", "3", "--u", "11"])

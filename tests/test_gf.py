@@ -9,7 +9,7 @@ from ffbinom.errors import BadDegreeError, EvenCharacteristicError, FFBinomError
 from ffbinom.family import BinomialSpec, eval_table
 from ffbinom.gf import FieldSpec, SijClass, is_prime, make_field, prime_power
 
-from naive_oracles import digit_add, digit_sub, naive_chi, pairwise_diff_hist, sequential_tables
+from naive_oracles import digit_add, digit_sub, naive_chi, pairwise_diff_hist, pow_slow, raw_mul, sequential_tables
 
 
 def test_make_field_basic():
@@ -106,13 +106,12 @@ def test_tables_match_sequential_build(monkeypatch, p, n):
 
 
 def test_table_build_uses_no_polynomial_arithmetic(monkeypatch):
-    # the build and the lazy tables are numpy passes: the table-free scalar
-    # routines are left to large fields and to the test oracles
-    def refuse(self, *args):
-        raise AssertionError("table-free scalar arithmetic used by the table build")
+    # the build and the lazy tables are numpy passes: polynomial products mod
+    # the modulus are left to is_irreducible and to the test oracles
+    def refuse(*args):
+        raise AssertionError("polynomial arithmetic used by the table build")
 
-    monkeypatch.setattr(FieldSpec, "_raw_mul", refuse)
-    monkeypatch.setattr(FieldSpec, "_pow_slow", refuse)
+    monkeypatch.setattr(gf, "_pmulmod", refuse)
     for p, n in [(1019, 1), (3, 5), (13, 3), (7, 5)]:
         f = FieldSpec(p, n)
         f.succ_table, f.sij_table, f._zech
@@ -165,7 +164,7 @@ def test_north_star_field_f3_11():
     assert (np.sort(f._exp) == np.arange(1, f.q)).all()
     rng = np.random.default_rng(311)
     for k in rng.integers(0, f.q - 1, size=50).tolist():
-        assert int(f._exp[k]) == f._pow_slow(f.generator, k)
+        assert int(f._exp[k]) == pow_slow(f, f.generator, k)
         assert int(f._log[f._exp[k]]) == k
     for x in rng.integers(1, f.q, size=50).tolist():
         assert f.chi(x) == naive_chi(f, x)
@@ -204,7 +203,7 @@ def test_field_axioms(p, n):
         for b in xs:
             assert f.add(a, b) == f.add(b, a)
             assert f.mul(a, b) == f.mul(b, a)
-            assert f.mul(a, b) == f._raw_mul(a, b)
+            assert f.mul(a, b) == raw_mul(f, a, b)
             for c in (0, 1, min(2, f.q - 1), f.q - 1):
                 assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
 
@@ -233,7 +232,7 @@ def test_pow_table_matches_square_and_multiply(p, n):
     exps = [0, 1, 2, 5, (f.q - 1) // 2, f.q - 2, f.q - 1, f.q, 2 * f.q - 1, 7919]
     for x in f.elements():
         for e in exps:
-            assert f.pow(x, e) == f._pow_slow(x, e)
+            assert f.pow(x, e) == pow_slow(f, x, e)
 
 
 def test_power_table_matches_scalar_pow():
@@ -436,16 +435,18 @@ def test_mul_arrays_zero_operands():
 
 
 def test_large_field_scalar_fallbacks():
-    # orders above the table limit still get exact scalar arithmetic, and
-    # bulk operations fail fast
+    # above the table limit multiplication, inversion, powering and chi fail
+    # fast like the bulk operations, on zero operands too; addition and
+    # subtraction stay exact
     f = FieldSpec(16_777_259, 1)  # prime just above 2^24
     assert f.generator is None
-    assert f.mul(3, 5) == 15
-    assert f.pow(2, f.q - 1) == 1
-    assert f.mul(f.inv(12345), 12345) == 1
-    assert f.chi(1) == 1
-    assert f.chi(0) == 0
-    assert f.chi(2) in (-1, 1)
+    for call in (lambda: f.mul(3, 5), lambda: f.mul(0, 5), lambda: f.inv(12345), lambda: f.inv(0),
+                 lambda: f.pow(2, f.q - 1), lambda: f.pow(0, 0), lambda: f.pow(0, 3), lambda: f.chi(1),
+                 lambda: f.chi(0)):
+        with pytest.raises(FFBinomError, match="no tables for q = 16777259"):
+            call()
+    assert (f.add(f.q - 1, 2), f.sub(0, 1), f.neg(1)) == (1, f.q - 1, f.q - 1)
+    assert not hasattr(FieldSpec, "_raw_mul") and not hasattr(FieldSpec, "_pow_slow")
     with pytest.raises(FFBinomError):
         f.chi_table
     with pytest.raises(FFBinomError):
@@ -460,6 +461,15 @@ def test_large_field_scalar_fallbacks():
     for op in (big.add_arrays, big.sub_arrays):
         with pytest.raises(FFBinomError):
             op(np.array([1]), 2)
+
+
+def test_lazy_tables_need_field_tables():
+    # succ_table and the digit table are q-long too: above the limit they
+    # raise before allocating anything
+    for f in (FieldSpec(16_777_259, 1), FieldSpec(3, 16)):
+        for table in ("succ_table", "_digits"):
+            with pytest.raises(FFBinomError, match=f"no tables for q = {f.q}"):
+                getattr(f, table)
 
 
 def test_outer_diff_hist():

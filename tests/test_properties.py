@@ -28,6 +28,8 @@ from naive_oracles import (
     naive_shift_difference,
     packed_runs,
     pairwise_diff_hist,
+    pow_slow,
+    raw_mul,
 )
 
 _FIELDS = [(p, n) for p in range(3, 32) if is_prime(p) for n in range(1, 8) if p**n <= 3**7]
@@ -147,6 +149,25 @@ def test_field_tables_match_scalar_definitions(data):
         assert f._chi[x] == naive_chi(f, x)
         assert f.succ_table[x] == f.add(x, 1)
         assert values[x] == naive_eval(f, spec, x)
+
+
+@_SETTINGS
+@given(data=st.data())
+def test_scalar_arithmetic_matches_table_free_oracles(data):
+    # the table lookups of mul, inv, pow and chi against polynomial products
+    # and square-and-multiply, with zero drawn often, and the field laws
+    f = data.draw(fields())
+    element = st.just(0) | st.sampled_from([1, 2, f.minus_one]) | st.integers(0, f.q - 1)
+    a, b, c = (data.draw(element) for _ in range(3))
+    e = data.draw(st.sampled_from([0, 1, 2, (f.q - 1) // 2, f.q - 2, f.q - 1, f.q]) | st.integers(0, 3 * f.q))
+    assert f.mul(a, b) == raw_mul(f, a, b)
+    assert f.pow(a, e) == pow_slow(f, a, e)
+    assert f.chi(a) == naive_chi(f, a)
+    assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
+    assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+    for x in {a, b, c} - {0}:
+        assert f.inv(x) == pow_slow(f, x, f.q - 2)
+        assert f.mul(x, f.inv(x)) == 1
 
 
 @_SETTINGS
