@@ -55,7 +55,7 @@ class BoomSpectrum:
     uniformity: int
 
 
-@dataclass
+@dataclass(slots=True)
 class BijklCounts:
     """Solutions of the a = 1 system split by the classes of x and y;
     boundary holds solutions with x or y in {0, -1}."""
@@ -120,7 +120,10 @@ def beta_profile(field: FieldSpec, spec: BinomialSpec, a: Elt = 1) -> np.ndarray
     The keys are built in the shift-difference array, which the call owns,
     and the sorted differences are written back into the value table's
     buffer; past those two, the grouping allocates only the class mask and
-    the per-class `ends` and `sizes`.
+    the per-class `ends` and `sizes`.  The differences, and on the
+    all-small path `ends` and `sizes`, are freed before the pair kernel
+    runs, so its temporaries can reuse that memory instead of growing the
+    heap, whose fresh pages each cost a page fault.
     """
     _check_element(field, "a", a)
     if a == 0:
@@ -138,13 +141,18 @@ def beta_profile(field: FieldSpec, spec: BinomialSpec, a: Elt = 1) -> np.ndarray
     last = np.empty(q, dtype=bool)
     np.not_equal(ds[1:], ds[:-1], out=last[:-1])
     last[-1] = True
+    # the differences are dead from here: free their buffer (the value
+    # table's) for the pair kernel's temporaries
+    del ds, fv
     ends = np.flatnonzero(last)
     ends += 1
     same = np.logical_not(last, out=last)
     sizes = np.empty_like(ends)
     sizes[0] = ends[0]
     np.subtract(ends[1:], ends[:-1], out=sizes[1:])
+    pairs = int(np.dot(sizes, sizes))
     if int(sizes.max()) ** 2 <= q:
+        del ends, sizes  # dead on this path, like the differences
         profile = _within_row_diff_hist(field, grouped, same)
     else:
         small = sizes * sizes <= q
@@ -152,7 +160,6 @@ def beta_profile(field: FieldSpec, spec: BinomialSpec, a: Elt = 1) -> np.ndarray
         profile = _within_row_diff_hist(field, grouped[keep], same[keep])
         for c in np.flatnonzero(~small):
             profile += field.outer_diff_hist(grouped[ends[c] - sizes[c] : ends[c]])
-    pairs = int(np.dot(sizes, sizes))
     if int(profile.sum()) != pairs:
         raise InvariantError(f"boomerang profile sums to {int(profile.sum())}, not {pairs} = sum of squared class sizes")
     return profile

@@ -24,7 +24,7 @@ from .errors import (
 from .gf import Elt, FieldSpec, _pgcd, _pmul, _ptrim
 
 
-@dataclass
+@dataclass(slots=True)
 class CharSumResult:
     value: int
     bound: float
@@ -58,8 +58,9 @@ def gamma(field: FieldSpec) -> CharSumResult:
     chi = field.chi_table
     t = field.mul_arrays(cubes, field.from_int(2))
     mask = (chi[field.sub_arrays(t, 1)] == 1) & (chi[field.sub_arrays(t, field.from_int(4))] == 1)
-    xs = np.arange(q, dtype=np.int64)
-    value = int((chi[xs][mask].astype(np.int64) * chi[field.sub_arrays(xs, alpha)][mask]).sum())
+    # chi(x) * chi(x - alpha) is formed only on the x the mask keeps
+    xs = np.flatnonzero(mask)
+    value = int((chi[xs].astype(np.int64) * chi[field.sub_arrays(xs, alpha)]).sum())
     # the proof expands 4*Gamma into one constant plus three Weil-bounded sums
     bound = (1 + 15 * math.sqrt(q)) / 4
     scaled = 4 * abs(value) - 1
@@ -75,7 +76,7 @@ def lambda_sum(field: FieldSpec) -> CharSumResult:
     chi = field.chi_table
     succ = field.succ_table
     squares = field.power_table(2)
-    value = int((chi[succ].astype(np.int64) * chi[succ[squares]]).sum())
+    value = int((np.take(chi, succ).astype(np.int64) * np.take(chi, succ[squares])).sum())
     # d distinct roots of (x+1)(x^2+1) over the closure, computed, not assumed
     d = _distinct_root_count(_pmul([1, 1], [1, 0, 1], field.p), field.p)
     bound = weil_envelope(field.q, d)

@@ -18,7 +18,7 @@ from .family import BinomialSpec, _check_element, _shift_difference, eval_table
 from .gf import Elt, FieldSpec
 
 
-@dataclass
+@dataclass(slots=True)
 class DiffSpectrum:
     """Multiplicities omega_i = #{b : delta(1, b) = i} over the a = 1 row.
 
@@ -33,7 +33,7 @@ class DiffSpectrum:
     uniformity: int
 
 
-@dataclass
+@dataclass(slots=True)
 class DijCounts:
     """Solution counts of delta(1, b) split by the class of x; boundary
     holds the contribution of x in {0, -1}."""
@@ -49,14 +49,14 @@ class DijCounts:
         return self.d00 + self.d01 + self.d10 + self.d11 + self.boundary
 
 
-@dataclass
+@dataclass(slots=True)
 class LocallyApnReport:
     strict: bool  # delta(1, b) <= 2 for all b outside the prime subfield
     star: bool  # delta(1, b) <= 2 for all b != 0
     delta10: int  # delta(1, 0)
 
 
-@dataclass
+@dataclass(slots=True)
 class CollisionReport:
     holds: bool
     witness: tuple[Elt, Elt, Elt] | None  # (c, x1, x2) on failure
@@ -125,12 +125,15 @@ def d00_condition(field: FieldSpec, r: int) -> CollisionReport:
     code 0); a failure's witness is the smallest such c and its two smallest x.
     """
     g = _shift_difference(field, field.power_table(r))
-    s00 = field.sij_table == 0
+    # index gathers, not boolean-mask selections: S00 and the nonzero
+    # differences are irregular masks, by which numpy selects several times
+    # slower; s00 is ascending, so the witness x are the two smallest
+    s00 = np.flatnonzero(field.sij_table == 0)
     vals = g[s00]
-    counts = np.bincount(vals[vals != 0])
+    counts = np.bincount(vals[np.flatnonzero(vals)])
     bad = np.flatnonzero(counts >= 2)
     if len(bad) == 0:
         return CollisionReport(True, None)
     c = int(bad[0])
-    xs = np.flatnonzero(s00 & (g == c))
+    xs = s00[np.flatnonzero(vals == c)]
     return CollisionReport(False, (c, int(xs[0]), int(xs[1])))

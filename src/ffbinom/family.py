@@ -66,16 +66,18 @@ def evaluate(field: FieldSpec, spec: BinomialSpec, x: Elt) -> Elt:
 
 
 def eval_table(field: FieldSpec, spec: BinomialSpec) -> np.ndarray:
-    """Values of the binomial over the whole field as an encoded array.
+    """Values of the binomial over the whole field as an encoded int64 array.
 
     Computed in the log domain as one gather: for x = g^k != 0 the value is
     g^(k*r + s), where s is the log of 1 + u on squares (k even) and of 1 - u
     on non-squares (k odd).  A factor of 0 (u = -1 or u = 1) zeroes that half
     of the field after the gather, so that half takes the other half's s and
-    the parity pass is skipped; 0 maps to 0.  Besides the output, the call
-    allocates one q-long array, the exponents: the parity terms, the quotient
-    of the reduction mod q - 1 (gf._reduce) and the values are all written
-    into the output's buffer.
+    the parity pass is skipped; 0 maps to 0.  The exponents k*r + s pass
+    int32 once q > 46 341, so they are int64, formed in the output's buffer.
+    Besides the output, the call allocates one q-long int64 scratch array:
+    it holds the parity terms, then the quotient of the reduction mod q - 1
+    (gf._reduce), then the gathered int32 values and the zeroing mask, and
+    one pass widens the values into the output.
     """
     _check_element(field, "u", spec.u)
     field._require_tables()
@@ -86,22 +88,24 @@ def eval_table(field: FieldSpec, spec: BinomialSpec) -> np.ndarray:
     logs = field._log[1:]
     out = np.empty(field.q, dtype=np.int64)
     out[0] = 0
-    rest = out[1:]
-    e = logs * (spec.r % m)
+    e = np.multiply(logs, spec.r % m, out=out[1:], dtype=np.int64)
     e += s0
+    scratch = np.empty(m, dtype=np.int64)
     if s1 != s0:
-        np.bitwise_and(logs, 1, out=rest)
-        rest *= s1 - s0
-        e += rest
-    # _reduce leaves e in [0, m), and mode="clip" lets take write into out
-    # unbuffered
-    np.take(field._exp, _reduce(e, m, rest), out=rest, mode="clip")
+        parity = np.bitwise_and(logs, 1, out=scratch)
+        parity *= s1 - s0
+        e += parity
+    # _reduce leaves e in [0, m), and mode="clip" lets take write into the
+    # int32 view of scratch unbuffered
+    halves = scratch.view(np.int32)
+    values = np.take(field._exp, _reduce(e, m, scratch), out=halves[:m], mode="clip")
     for k, factor in enumerate(factors):
         if factor == 0:
-            # keep the half whose log parity is not k; e is free again
-            keep = np.bitwise_and(logs, 1, out=e)
+            # keep the half whose log parity is not k
+            keep = np.bitwise_and(logs, 1, out=halves[m:])
             keep ^= k
-            rest *= keep
+            values *= keep
+    np.copyto(e, values)
     return out
 
 
@@ -110,7 +114,7 @@ def _shifted(field: FieldSpec, values: np.ndarray, a: Elt) -> np.ndarray:
     if field.n == 1:
         return np.roll(values, -a)
     if a == 1:
-        return values[field.succ_table]
+        return np.take(values, field.succ_table)
     return values[field.add_arrays(np.arange(field.q, dtype=np.int64), a)]
 
 

@@ -14,10 +14,19 @@ regular representation (Lidl and Niederreiter, "Finite Fields", ch. 2), and
 M_{g^2m} = M_{g^m}^2; rows are mapped through two half-width digit tables
 of M_{g^m}.  The generator and the modulus are found by powering such
 matrices as well, so no table build does polynomial arithmetic in Python.
-The log table is a scatter of the exp table, and chi is the parity of the
-log.  Multiplication, inversion, powering and chi are lookups only: above
-TABLE_LIMIT a field carries p, n, q and its modulus, and those raise
-FFBinomError like the bulk operations.
+The log table is a scatter of the exp table, _BUILD_CHUNK entries at a
+time, and chi is the parity of the log.  Multiplication, inversion,
+powering and chi are lookups only: above TABLE_LIMIT a field carries p, n,
+q and its modulus, and those raise FFBinomError like the bulk operations.
+
+The q-long exp, log, successor and Zech tables are int32, since every
+element and every log is below TABLE_LIMIT = 2^24; chi is int8.  Sums and
+differences of two logs stay far inside int32, but a log times an exponent
+can pass 2^31 once q > 46 341, so powering widens that product to int64.
+Element arrays that the bulk operations return (the value arrays) stay
+int64.  Where an int32 table is the index, the gather is np.take: numpy
+indexes about twice as slowly with an int32 index array as with an int64
+one, and np.take converts the index at less cost.
 
 Bulk addition and subtraction on F_{p^n} stay in the log domain too, through
 Zech's logarithms Z[k] = log(1 + g^k), one q-long table (K. Huber, "Some
@@ -40,10 +49,12 @@ Elt = int
 
 # Above this order no exp/log tables are built: scalar add, sub and neg still
 # work, while mul, inv, pow, chi and the bulk helpers raise FFBinomError.
+# Up to it every element and every log fits in the int32 tables.
 TABLE_LIMIT = 1 << 24
 
-# Rows per numpy pass of the exp-table build: its temporaries stay
-# O(_BUILD_CHUNK * n) whatever q is, and 2^16 rows measured faster than 2^18.
+# Rows per numpy pass of the exp-table build and the log scatter: their
+# temporaries stay O(_BUILD_CHUNK * n) whatever q is, and 2^16 rows measured
+# faster than 2^18.
 _BUILD_CHUNK = 1 << 16
 
 # Differences per pass of the pair-difference kernels (outer_diff_hist and
@@ -57,13 +68,14 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _reduce(e, m: int, scratch: np.ndarray | None = None):
-    """e mod m, in place for an int64 array that the caller owns.
+    """e mod m, in place for an integer array that the caller owns.
 
-    Formed as e - (e // m) * m: numpy divides int64 by a scalar about four
-    times faster than it takes the remainder.  Floor division makes it
-    exact for negative e as well, like %.  The quotient goes to `scratch`
-    where one is given (an owned buffer of e's shape), else to one new
-    temporary.  A scalar e is returned as a new scalar.
+    Formed as e - (e // m) * m: numpy divides an integer array by a scalar
+    about four times faster than it takes the remainder.  Floor division
+    makes it exact for negative e as well, like %.  The quotient goes to
+    `scratch` where one is given (an owned buffer of e's shape and dtype),
+    else to one new temporary, and the result keeps e's dtype.  A scalar e
+    is returned as a new scalar.
     """
     t = np.floor_divide(e, m, out=scratch)
     t *= m
@@ -393,8 +405,10 @@ class FieldSpec:
     def _build_tables(self) -> None:
         p, n, q = self.p, self.n, self.q
         g = self._find_generator()
-        exp = np.empty(q - 1, dtype=np.int64)
+        exp = np.empty(q - 1, dtype=np.int32)
         exp[0] = 1
+        log = np.empty(q, dtype=np.int32)
+        log[0] = -1
         if n > 1:
             # x -> x * g^m is the F_p-linear map of the matrix M of g^m, the
             # square of the previous step's.  With x = lo + P * hi, P = p^h,
@@ -416,11 +430,12 @@ class FieldSpec:
             for lo in range(0, k, _BUILD_CHUNK):
                 hi = min(k, lo + _BUILD_CHUNK)
                 if n == 1:
-                    exp[m + lo : m + hi] = exp[lo:hi] * gm % p
+                    # a product of two elements passes 2^31 once p > 46 341
+                    exp[m + lo : m + hi] = _reduce(np.multiply(exp[lo:hi], gm, dtype=np.int64), p)
                 else:
                     x_hi, x_lo = np.divmod(exp[lo:hi], P)
-                    digits = low_rows[x_lo]
-                    digits += high_rows[x_hi]
+                    digits = np.take(low_rows, x_lo, axis=0)
+                    digits += np.take(high_rows, x_hi, axis=0)
                     digits -= (digits >= p) * np.int16(p)
                     exp[m + lo : m + hi] = digits @ place
             if n == 1:
@@ -428,9 +443,11 @@ class FieldSpec:
             else:
                 mat = mat @ mat % p
             m += k
-        log = np.empty(q, dtype=np.int64)
-        log[0] = -1
-        log[exp] = np.arange(q - 1, dtype=np.int64)
+        for lo in range(0, q - 1, _BUILD_CHUNK):
+            # numpy scatters through an int32 index about twice as slowly
+            # as through the same index widened first
+            hi = min(q - 1, lo + _BUILD_CHUNK)
+            log[exp[lo:hi].astype(np.intp)] = np.arange(lo, hi, dtype=np.int32)
         # chi is +1 on even logs and -1 on odd ones; log -1 at 0 is odd
         chi = np.bitwise_and(log, 1, out=np.empty(q, dtype=np.int8), casting="unsafe")
         chi *= -2
@@ -528,7 +545,8 @@ class FieldSpec:
             raise self._no_tables()
         if x == 0:
             return 1 if e == 0 else 0
-        return int(self._exp[self._log[x] * (e % (self.q - 1)) % (self.q - 1)])
+        # a Python int product: log * e passes int32 once q > 46 341
+        return int(self._exp[int(self._log[x]) * (e % (self.q - 1)) % (self.q - 1)])
 
     def chi(self, x: Elt) -> int:
         """Quadratic character: 0 at 0, +1 on nonzero squares, -1 otherwise."""
@@ -570,10 +588,10 @@ class FieldSpec:
 
     @functools.cached_property
     def succ_table(self) -> np.ndarray:
-        """Table x -> x + 1 over all encoded elements."""
+        """Read-only int32 table x -> x + 1 over all encoded elements."""
         self._require_tables()
         # x + 1, except that a constant digit p - 1 wraps to 0: x + 1 - p
-        out = np.arange(1, self.q + 1, dtype=np.int64)
+        out = np.arange(1, self.q + 1, dtype=np.int32)
         out[self.p - 1 :: self.p] -= self.p
         out.setflags(write=False)
         return out
@@ -584,7 +602,7 @@ class FieldSpec:
         the partition: 2i + j for x in S_ij, where chi(x) = (-1)^i and
         chi(x+1) = (-1)^j, and 4 for x in {0, -1}."""
         self._require_tables()
-        codes = (2 * (self._chi == -1) + (self._chi[self.succ_table] == -1)).astype(np.int8)
+        codes = (2 * (self._chi == -1) + (np.take(self._chi, self.succ_table) == -1)).astype(np.int8)
         codes[[0, self.minus_one]] = 4
         codes.setflags(write=False)
         return codes
@@ -594,7 +612,7 @@ class FieldSpec:
         # Zech's logarithms Z[k] = log(1 + g^k) for k in [0, q - 1); 1 + g^k
         # is 0 only at k = (q - 1)/2, where g^k = -1, and there Z is -1, the
         # log table's value at 0
-        z = self._log[self.succ_table[self._exp]]
+        z = np.take(self._log, np.take(self.succ_table, self._exp))
         z.setflags(write=False)
         return z
 
@@ -644,7 +662,10 @@ class FieldSpec:
         # compare and one add or subtract, not a division.  With a = 0 the
         # Zech term is forced to 0 = log 1, which gives c; with b = 0 the sum
         # is a.  Each zero fix-up is one mask pass and one multiply or select.
+        # The logs and z are int32, and their sums stay within +-2^25; a as
+        # an int64 array keeps the result int64 when a is a scalar.
         self._require_tables()
+        a = np.asarray(a, dtype=np.int64)
         la = self._log[a]
         lc = self._log[b]
         lc += t  # log c where b != 0; t - 1 where b = 0
@@ -661,10 +682,9 @@ class FieldSpec:
         self._require_tables()
         a, b = np.asarray(a), np.asarray(b)
         # log(0) = -1 reduces to a valid index of exp; those products are
-        # zeroed after by the nonzero mask
-        out = self._exp[_reduce(np.add(self._log[a], self._log[b]), self.q - 1)]
-        out *= (a != 0) & (b != 0)
-        return out
+        # zeroed by the nonzero mask, whose product widens them to int64
+        out = np.take(self._exp, _reduce(np.add(self._log[a], self._log[b]), self.q - 1))
+        return np.multiply(out, (a != 0) & (b != 0), dtype=np.int64)
 
     def power_table(self, e: int) -> np.ndarray:
         """Table of x^e over all x, with the pow() conventions at x = 0."""
@@ -674,11 +694,16 @@ class FieldSpec:
         m = self.q - 1
         out = np.empty(self.q, dtype=np.int64)
         out[0] = 1 if e == 0 else 0
-        # out[1:] holds the quotient of the reduction, then the values; the
-        # indices are already reduced, and mode="clip" lets take write into
-        # out unbuffered
-        logs = self._log[1:] * (e % m)
-        np.take(self._exp, _reduce(logs, m, out[1:]), out=out[1:], mode="clip")
+        rest = out[1:]
+        # log * e passes int32 once q > 46 341: the products are int64, in
+        # out's buffer, and a second buffer holds the reduction's quotient,
+        # then the gathered int32 values, which one pass widens into out.
+        # The indices are already reduced, so mode="clip" lets take write
+        # unbuffered
+        logs = np.multiply(self._log[1:], e % m, out=rest, dtype=np.int64)
+        scratch = np.empty(m, dtype=np.int64)
+        values = np.take(self._exp, _reduce(logs, m, scratch), out=scratch.view(np.int32)[:m], mode="clip")
+        np.copyto(rest, values)
         return out
 
     def outer_diff_hist(self, values: np.ndarray) -> np.ndarray:

@@ -14,13 +14,13 @@ from .gf import FieldSpec, make_field, prime_power
 _OUTSIDE_HYPOTHESIS = "outside theorem hypothesis (q = 11); formulas still reproduce the row"
 
 
-@dataclass
+@dataclass(slots=True)
 class DuPrediction:
     delta: int
     locally_apn_star: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class VerifyReport:
     """Exact comparison of a closed-form prediction against the brute oracle."""
 

@@ -390,3 +390,16 @@ def test_row_reductions_hold_for_general_u(p, n):
                 for b in range(0, f.q, 2):
                     assert delta_ab(f, spec, a, b) == row[reduced_index(f, spec, a, b, beta=False)]
                     assert beta_ab(f, spec, a, b) == beta_row(f, spec, reduced_index(f, spec, a, b, beta=True))
+
+
+@pytest.mark.parametrize("u", [1, 7])
+def test_beta_row_matches_profile_near_1e5(u):
+    # beta_row packs its (F(x), F(x+1)) points as F(x) * q + F(x+1), which
+    # needs int64 values once q^2 passes 2^31: at q = 100003 an int32 value
+    # array wraps those keys while every smaller test field still passes
+    f = make_field(100003, 1)
+    spec = BinomialSpec(5, u)
+    profile = beta_profile(f, spec)
+    top = int(profile[1:].argmax()) + 1
+    for b in (0, 1, 2, top, f.q - 1):
+        assert beta_row(f, spec, b) == int(profile[b])

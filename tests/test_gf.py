@@ -9,7 +9,16 @@ from ffbinom.errors import BadDegreeError, EvenCharacteristicError, FFBinomError
 from ffbinom.family import BinomialSpec, eval_table
 from ffbinom.gf import FieldSpec, SijClass, is_prime, make_field, prime_power
 
-from naive_oracles import digit_add, digit_sub, naive_chi, pairwise_diff_hist, pow_slow, raw_mul, sequential_tables
+from naive_oracles import (
+    digit_add,
+    digit_sub,
+    naive_chi,
+    naive_eval,
+    pairwise_diff_hist,
+    pow_slow,
+    raw_mul,
+    sequential_tables,
+)
 
 
 def test_make_field_basic():
@@ -93,16 +102,57 @@ def test_tables_match_sequential_build(monkeypatch, p, n):
     # partial.  A 7-row chunk puts chunk edges inside every round.  On
     # F_{13^3}, F_{19^3} and F_{23^3} the generator is not the first
     # candidate X = p.
+    # The q-long tables are read-only int32, 4 bytes an entry, and chi is
+    # int8; the oracle's int64 values must match them exactly.
     g, exp, log, chi = sequential_tables(make_field(p, n))
     monkeypatch.setattr(gf, "_BUILD_CHUNK", 7)
     for f in (make_field(p, n), FieldSpec(p, n)):
         assert f.generator == g
         for table, ref in ((f._exp, exp), (f._log, log), (f._chi, chi)):
-            assert table.dtype == ref.dtype
-            assert (table == ref).all()
+            assert table.shape == ref.shape
+            assert table.tolist() == ref.tolist()
+        assert f._chi.dtype == np.int8 and not f._chi.flags.writeable
+        for table in (f._exp, f._log, f.succ_table, f._zech):
+            assert table.dtype == np.int32 and table.itemsize == 4
+            assert not table.flags.writeable
     xs = range(f.q) if f.q < 5000 else range(0, f.q, 97)
     assert [int(f.succ_table[x]) for x in xs] == [f.add(x, 1) for x in xs]
-    assert (f._zech == log[f.succ_table[exp]]).all()
+    assert f._zech.tolist() == log[f.succ_table[exp]].tolist()
+
+
+@pytest.mark.parametrize("p,n", [(3, 11), (131111, 1)])
+def test_log_products_past_int32(p, n):
+    # Above q = 46 341 a log times an exponent passes 2^31, which int32 logs
+    # would wrap.  Table readers against the table-free oracles at sampled x,
+    # with r = q - 2 and r = (2q - 1)/3 (rounded down on F_{3^11}), and u in
+    # {1, -1, 5}; the value arrays stay int64.
+    f = make_field(p, n)
+    q = f.q
+    rng = np.random.default_rng(13)
+    xs = np.unique(np.concatenate([[0, 1, 2, q - 2, q - 1], rng.integers(0, q, 40)]))
+    ys = rng.permutation(xs)
+    ys[:3] = [0, 1, q - 1]
+    for r in (q - 2, (2 * q - 1) // 3):
+        assert (q - 2) * r >= 2**31
+        table = f.power_table(r)
+        assert table.dtype == np.int64
+        expected = [pow_slow(f, x, r) for x in xs.tolist()]
+        assert table[xs].tolist() == expected
+        assert [f.pow(x, r) for x in xs.tolist()] == expected
+        for u in (1, f.minus_one, 5):
+            spec = BinomialSpec(r, u)
+            values = eval_table(f, spec)
+            assert values.dtype == np.int64
+            assert values[xs].tolist() == [naive_eval(f, spec, x) for x in xs.tolist()]
+    pairs = list(zip(xs.tolist(), ys.tolist()))
+    products = f.mul_arrays(xs, ys)
+    assert products.dtype == np.int64
+    assert products.tolist() == [raw_mul(f, a, b) for a, b in pairs] == [f.mul(a, b) for a, b in pairs]
+    assert all(raw_mul(f, x, f.inv(x)) == 1 for x in xs.tolist() if x)
+    sums, diffs = f.add_arrays(xs, ys), f.sub_arrays(xs, ys)
+    assert sums.dtype == diffs.dtype == np.int64
+    assert sums.tolist() == [f.add(a, b) for a, b in pairs]
+    assert diffs.tolist() == [f.sub(a, b) for a, b in pairs]
 
 
 def test_table_build_uses_no_polynomial_arithmetic(monkeypatch):

@@ -255,3 +255,27 @@ def test_fields_for():
 def test_fields_for_includes_prime_powers():
     qs = [f.q for f in fields_for("ds-f3", 1400)]
     assert 1331 in qs  # 11^3 = 11 mod 12
+
+
+def test_result_records_are_slotted():
+    # a caller that keeps many reports (a verify sweep, a benchmark's output
+    # gate) holds no per-instance __dict__ for any of them
+    from ffbinom.boom import bijkl_counts
+
+    f, spec = make_field(11, 1), BinomialSpec(3, 1)
+    results = [
+        verify(f, "du", 3),
+        predict_du(f, 3),
+        diff_spectrum(f, spec),
+        diff.dij_counts(f, spec, 2),
+        diff.locally_apn_check(f, spec),
+        diff.d00_condition(f, 3),
+        bijkl_counts(f, spec, 2),
+        charsum.gamma(f),
+    ]
+    assert [type(x).__name__ for x in results] == [
+        "VerifyReport", "DuPrediction", "DiffSpectrum", "DijCounts",
+        "LocallyApnReport", "CollisionReport", "BijklCounts", "CharSumResult",
+    ]
+    for x in results:
+        assert not hasattr(x, "__dict__"), type(x).__name__
