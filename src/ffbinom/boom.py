@@ -247,7 +247,7 @@ def boom_spectrum(field: FieldSpec, spec: BinomialSpec) -> BoomSpectrum:
     # counts has one entry per value up to the largest, so its length gives
     # the uniformity without another pass (q >= 3, so profile[1:] is not empty)
     counts = np.bincount(profile[1:])
-    nu = {int(i): int(c) for i, c in enumerate(counts) if c}
+    nu = {int(i): int(counts[i]) for i in np.flatnonzero(counts)}
     return BoomSpectrum(nu, len(counts) - 1)
 
 

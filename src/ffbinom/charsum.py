@@ -21,6 +21,7 @@ from .errors import (
     WrongResidueError,
     ZeroLeadingError,
 )
+from .family import _check_element
 from .gf import Elt, FieldSpec, _pgcd, _pmul, _ptrim
 
 
@@ -54,9 +55,8 @@ def gamma(field: FieldSpec) -> CharSumResult:
     if q % 12 != 11:
         raise WrongResidueError(f"q = {q} is not 11 mod 12")
     alpha = field.pow(field.from_int(2), (2 * q - 1) // 3)
-    cubes = field.power_table(3)
+    t = field.power_table(3, (2, 2))
     chi = field.chi_table
-    t = field.mul_arrays(cubes, field.from_int(2))
     mask = (chi[field.sub_arrays(t, 1)] == 1) & (chi[field.sub_arrays(t, field.from_int(4))] == 1)
     # chi(x) * chi(x - alpha) is formed only on the x the mask keeps
     xs = np.flatnonzero(mask)
@@ -90,13 +90,12 @@ def quad_char_sum(field: FieldSpec, a2: Elt, a1: Elt, a0: Elt) -> int:
     Closed form: -chi(a2) when the discriminant is nonzero, else
     (q-1) chi(a2); InvariantError is raised if the computed sum differs.
     """
+    for name, a in (("a2", a2), ("a1", a1), ("a0", a0)):
+        _check_element(field, name, a)
     if a2 == 0:
         raise ZeroLeadingError("leading coefficient must be nonzero")
     xs = np.arange(field.q, dtype=np.int64)
-    vals = field.add_arrays(
-        field.add_arrays(field.mul_arrays(field.power_table(2), a2), field.mul_arrays(xs, a1)),
-        a0,
-    )
+    vals = field.add_arrays(field.add_arrays(field.power_table(2, (a2, a2)), field.mul_arrays(xs, a1)), a0)
     value = int(field.chi_table[vals].astype(np.int64).sum())
     disc = field.sub(field.mul(a1, a1), field.mul(field.from_int(4), field.mul(a0, a2)))
     expected = (field.q - 1) * field.chi(a2) if disc == 0 else -field.chi(a2)
@@ -109,7 +108,7 @@ def odd_fn_sum_check(field: FieldSpec, f: Callable[[Elt], Elt]) -> int:
     """Sum of chi(f(x)) for an odd f when q = 3 (mod 4); always zero."""
     if field.q % 4 != 3:
         raise WrongResidueError(f"q = {field.q} is not 3 mod 4")
-    field._require_tables()  # chi needs them: refuse before the q-long oddness loop
+    field.chi_table  # raises "no tables" before the q-long oddness loop, not after
     for x in field.elements():
         if f(field.neg(x)) != field.neg(f(x)):
             raise NotOddError(f"f(-x) != -f(x) at x = {x}")

@@ -83,7 +83,7 @@ def diff_spectrum(field: FieldSpec, spec: BinomialSpec) -> DiffSpectrum:
 
 def _row_spectrum(field: FieldSpec, row: np.ndarray) -> DiffSpectrum:
     counts = np.bincount(row)
-    omega = {int(i): int(c) for i, c in enumerate(counts) if c}
+    omega = {int(i): int(counts[i]) for i in np.flatnonzero(counts)}
     # sum_i omega_i counts every b once, sum_i i*omega_i every x once
     if sum(omega.values()) != field.q or sum(i * c for i, c in omega.items()) != field.q:
         raise InvariantError(f"differential spectrum {omega} breaks sum omega_i = sum i*omega_i = q = {field.q}")

@@ -3,6 +3,9 @@
 Exponents are stored unreduced; pow() reduces them mod q-1 on nonzero inputs,
 so formulas like (2q-1)/3 act as their residues on the multiplicative group
 while 0^r stays 0.
+
+Its value table is FieldSpec.power_table(r) scaled by 1 + u on squares and
+1 - u on non-squares; this module reads no field table itself.
 """
 
 from __future__ import annotations
@@ -66,47 +69,11 @@ def evaluate(field: FieldSpec, spec: BinomialSpec, x: Elt) -> Elt:
 
 
 def eval_table(field: FieldSpec, spec: BinomialSpec) -> np.ndarray:
-    """Values of the binomial over the whole field as an encoded int64 array.
-
-    Computed in the log domain as one gather: for x = g^k != 0 the value is
-    g^(k*r + s), where s is the log of 1 + u on squares (k even) and of 1 - u
-    on non-squares (k odd).  A factor of 0 (u = -1 or u = 1) zeroes that half
-    of the field after the gather, so that half takes the other half's s and
-    the parity pass is skipped; 0 maps to 0.  The exponents k*r + s pass
-    int32 once q > 46 341, so they are int64, formed in the output's buffer.
-    Besides the output, the call allocates one q-long int64 scratch array:
-    it holds the parity terms, then the quotient of the reduction mod q - 1
-    (gf._reduce), then the gathered int32 values and the zeroing mask, and
-    one pass widens the values into the output.
-    """
+    """Values of the binomial over the whole field as an encoded int64 array:
+    the power table of r scaled by 1 + u on squares and by 1 - u on
+    non-squares (FieldSpec.power_table); 0 maps to 0."""
     _check_element(field, "u", spec.u)
-    field._require_tables()
-    m = field.q - 1
-    factors = (field.add(1, spec.u), field.sub(1, spec.u))
-    # s0, s1: the logs of the factors, a zero factor taking the other's log
-    s0, s1 = (int(field._log[f or factors[1 - k]]) for k, f in enumerate(factors))
-    logs = field._log[1:]
-    out = np.empty(field.q, dtype=np.int64)
-    out[0] = 0
-    e = np.multiply(logs, spec.r % m, out=out[1:], dtype=np.int64)
-    e += s0
-    scratch = np.empty(m, dtype=np.int64)
-    if s1 != s0:
-        parity = np.bitwise_and(logs, 1, out=scratch)
-        parity *= s1 - s0
-        e += parity
-    # _reduce leaves e in [0, m), and mode="clip" lets take write into the
-    # int32 view of scratch unbuffered
-    halves = scratch.view(np.int32)
-    values = np.take(field._exp, _reduce(e, m, scratch), out=halves[:m], mode="clip")
-    for k, factor in enumerate(factors):
-        if factor == 0:
-            # keep the half whose log parity is not k
-            keep = np.bitwise_and(logs, 1, out=halves[m:])
-            keep ^= k
-            values *= keep
-    np.copyto(e, values)
-    return out
+    return field.power_table(spec.r, (field.add(1, spec.u), field.sub(1, spec.u)))
 
 
 def _shifted(field: FieldSpec, values: np.ndarray, a: Elt) -> np.ndarray:

@@ -26,7 +26,10 @@ can pass 2^31 once q > 46 341, so powering widens that product to int64.
 Element arrays that the bulk operations return (the value arrays) stay
 int64.  Where an int32 table is the index, the gather is np.take: numpy
 indexes about twice as slowly with an int32 index array as with an int64
-one, and np.take converts the index at less cost.
+one, and np.take converts the index at less cost.  The tables are read in
+this module only: power_table is the one log-domain power kernel, x^e times
+one constant on squares and another on non-squares, which serves the
+binomial's value table and the character sums alike.
 
 Bulk addition and subtraction on F_{p^n} stay in the log domain too, through
 Zech's logarithms Z[k] = log(1 + g^k), one q-long table (K. Huber, "Some
@@ -686,24 +689,52 @@ class FieldSpec:
         out = np.take(self._exp, _reduce(np.add(self._log[a], self._log[b]), self.q - 1))
         return np.multiply(out, (a != 0) & (b != 0), dtype=np.int64)
 
-    def power_table(self, e: int) -> np.ndarray:
-        """Table of x^e over all x, with the pow() conventions at x = 0."""
+    def power_table(self, e: int, scale: tuple[Elt, Elt] = (1, 1)) -> np.ndarray:
+        """Table of x^e * scale[0] on squares and x^e * scale[1] on
+        non-squares over all x, as an encoded int64 array.  0 counts as a
+        square, with the pow() conventions 0^0 = 1 and 0^e = 0.
+
+        Computed in the log domain as one gather: for x = g^k != 0 the value
+        is g^(k*e + s), where s is the log of scale[k mod 2].  A zero scale
+        zeroes that half of the field after the gather, so that half takes
+        the other half's s and the parity pass is skipped.  The exponents
+        k*e + s pass int32 once q > 46 341, so they are int64, formed in the
+        output's buffer.  Besides the output, the call allocates one q-long
+        int64 scratch array: it holds the parity terms, then the quotient of
+        the reduction mod q - 1 (_reduce), then the gathered int32 values and
+        the zeroing mask, and one pass widens the values into the output.
+        """
         if e < 0:
             raise FFBinomError("exponent must be nonnegative")
+        for c in scale:
+            if not 0 <= c < self.q:
+                raise self._not_an_element(c)
         self._require_tables()
         m = self.q - 1
+        # s0, s1: the logs of the scales, a zero scale taking the other's log
+        s0, s1 = (int(self._log[c or scale[1 - k]]) for k, c in enumerate(scale))
+        logs = self._log[1:]
         out = np.empty(self.q, dtype=np.int64)
-        out[0] = 1 if e == 0 else 0
-        rest = out[1:]
-        # log * e passes int32 once q > 46 341: the products are int64, in
-        # out's buffer, and a second buffer holds the reduction's quotient,
-        # then the gathered int32 values, which one pass widens into out.
-        # The indices are already reduced, so mode="clip" lets take write
-        # unbuffered
-        logs = np.multiply(self._log[1:], e % m, out=rest, dtype=np.int64)
+        out[0] = scale[0] if e == 0 else 0
+        exps = np.multiply(logs, e % m, out=out[1:], dtype=np.int64)
+        if s0:
+            exps += s0
         scratch = np.empty(m, dtype=np.int64)
-        values = np.take(self._exp, _reduce(logs, m, scratch), out=scratch.view(np.int32)[:m], mode="clip")
-        np.copyto(rest, values)
+        if s1 != s0:
+            parity = np.bitwise_and(logs, 1, out=scratch)
+            parity *= s1 - s0
+            exps += parity
+        # _reduce leaves exps in [0, m), and mode="clip" lets take write into
+        # the int32 view of scratch unbuffered
+        halves = scratch.view(np.int32)
+        values = np.take(self._exp, _reduce(exps, m, scratch), out=halves[:m], mode="clip")
+        for k, c in enumerate(scale):
+            if c == 0:
+                # keep the half whose log parity is not k
+                keep = np.bitwise_and(logs, 1, out=halves[m:])
+                keep ^= k
+                values *= keep
+        np.copyto(exps, values)
         return out
 
     def outer_diff_hist(self, values: np.ndarray) -> np.ndarray:

@@ -88,6 +88,14 @@ def test_quad_char_sum_examples():
     assert quad_char_sum(f, 1, 1, 0) == -1
     with pytest.raises(ZeroLeadingError):
         quad_char_sum(f, 0, 1, 1)
+    # every coefficient is checked before the q-long sums
+    for g in (f, make_field(3, 3)):
+        for bad in (-1, g.q):
+            for i, name in enumerate(("a2", "a1", "a0")):
+                coeffs = [1, 1, 1]
+                coeffs[i] = bad
+                with pytest.raises(FFBinomError, match=f"{name} = {bad} is not an element of F_{g.q}"):
+                    quad_char_sum(g, *coeffs)
 
 
 @pytest.mark.parametrize("p,n", [(11, 1), (13, 1), (3, 3), (5, 2)])

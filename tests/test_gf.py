@@ -139,6 +139,11 @@ def test_log_products_past_int32(p, n):
         expected = [pow_slow(f, x, r) for x in xs.tolist()]
         assert table[xs].tolist() == expected
         assert [f.pow(x, r) for x in xs.tolist()] == expected
+        # the logs of the scales are added to those products
+        scale = (5, q - 2)
+        scaled = f.power_table(r, scale)
+        assert scaled.dtype == np.int64
+        assert scaled[xs].tolist() == [raw_mul(f, y, scale[f.chi(x) < 0]) for x, y in zip(xs.tolist(), expected)]
         for u in (1, f.minus_one, 5):
             spec = BinomialSpec(r, u)
             values = eval_table(f, spec)
@@ -286,11 +291,21 @@ def test_pow_table_matches_square_and_multiply(p, n):
 
 
 def test_power_table_matches_scalar_pow():
+    # scale[0] multiplies the squares, 0 among them, and scale[1] the
+    # non-squares; a zero scale zeroes its half
     for p, n in [(11, 1), (3, 3)]:
         f = make_field(p, n)
+        c, d = 2, f.q - 3
         for e in (0, 1, 3, f.q - 1, (2 * f.q - 1) // 3 if (2 * f.q - 1) % 3 == 0 else 7):
             table = f.power_table(e)
             assert [f.pow(x, e) for x in f.elements()] == table.tolist()
+            for scale in [(1, 1), (c, c), (c, d), (0, c), (c, 0), (0, 0)]:
+                expected = [f.mul(f.pow(x, e), scale[f.chi(x) < 0]) for x in f.elements()]
+                assert f.power_table(e, scale).tolist() == expected
+        for bad in (-1, f.q):
+            for scale in [(bad, 1), (1, bad)]:
+                with pytest.raises(FFBinomError, match=f"{bad} is not an element of F_{f.q}"):
+                    f.power_table(2, scale)
 
 
 def test_chi_values():
