@@ -1,9 +1,15 @@
 """Boomerang analysis of the binomial family.
 
-A pair (x, y) solves the a = 1 system iff F(x+1) - F(x) = F(y+1) - F(y), so
-grouping x by that shift-difference turns the whole b-profile into per-group
-pair-difference histograms.  The groups come from one sort of int64 keys
-that pack (difference, value) into bit fields.  Small groups are
+Every count here starts from one int64 key per x, D(x) << 24 | F(x) with
+D(x) = F(x+a) - F(x), and one builder, _diff_keys, makes them.  A pair
+(x, y) solves F(x) - F(y) = b, F(x+a) - F(y+a) = b iff D(x) = D(y) and
+F(y) = F(x) - b, that is iff y's key equals x's target
+D(x) << 24 | (F(x) - b).  beta_row, beta_ab and bijkl_counts sort the keys
+and the targets in place and count the equal pairs by searchsorted, with
+no np.unique and no scattered queries.
+
+beta_profile sorts the keys alone, which groups x by D(x) and turns the
+whole b-profile into per-group pair-difference histograms.  Small groups are
 histogrammed pair by pair, over unordered pairs only, each difference binned
 together with its negation.  Large groups go to FieldSpec.outer_diff_hist,
 whose cost follows their distinct values: the group of x with zero
@@ -33,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FFBinomError, InvariantError, UnsupportedUError, ZeroShiftError
-from .family import BinomialSpec, _check_element, _shift_difference, _shifted, eval_table
+from .family import BinomialSpec, _check_element, _shift_difference, eval_table
 from .gf import _PAIR_CHUNK, TABLE_LIMIT, Elt, FieldSpec
 
 _BIJKL_KEYS = tuple(f"{i}{j}{k}{l}" for i in "01" for j in "01" for k in "01" for l in "01")
@@ -68,41 +74,67 @@ class BijklCounts:
         return sum(self.counts.values()) + self.boundary
 
 
-def _pair_keys(field: FieldSpec, fv: np.ndarray, f1: np.ndarray) -> np.ndarray:
-    return fv * field.q + f1
+# bits of the low half of the keys: every element is at most
+# TABLE_LIMIT - 1 (tables, and with them every count here, exist only up to
+# there), which fits in 24 bits, so a key d << 24 | F(x) is below 2^48
+_KEY_BITS = (TABLE_LIMIT - 1).bit_length()
+
+
+def _diff_keys(field: FieldSpec, fv: np.ndarray, a: Elt) -> np.ndarray:
+    """The int64 keys D(x) << 24 | F(x), with D(x) = F(x+a) - F(x), given
+    fv[x] = F(x): the one key format of every boomerang count.  They are
+    built in the shift-difference array, a new one that the caller owns."""
+    keys = _shift_difference(field, fv, a)
+    keys <<= _KEY_BITS
+    keys |= fv
+    return keys
+
+
+def _keys_and_targets(field: FieldSpec, spec: BinomialSpec, a: Elt, b: Elt) -> tuple[np.ndarray, np.ndarray]:
+    # x's target is its key with F(x) - b in place of F(x)
+    fv = eval_table(field, spec)
+    keys = _diff_keys(field, fv, a)
+    targets = field.sub_arrays(fv, b)
+    targets -= fv
+    targets += keys
+    return keys, targets
+
+
+def _rank_sums(keys: np.ndarray, queries: np.ndarray, bounds) -> np.ndarray:
+    # for each segment queries[lo:hi] between consecutive bounds, the sum
+    # over its queries t of #{keys < t}.  keys are sorted and so is each
+    # segment, so neighbouring binary searches read the same cache lines
+    ranks = np.searchsorted(keys, queries)
+    return np.array([ranks[lo:hi].sum() for lo, hi in zip(bounds[:-1], bounds[1:])], dtype=np.int64)
 
 
 def _beta_count(field: FieldSpec, spec: BinomialSpec, a: Elt, b: Elt) -> int:
-    # matches of (F(x)-b, F(x+a)-b) against the multiset of points (F(y), F(y+a))
-    fv = eval_table(field, spec)
-    fa = _shifted(field, fv, a)
-    uniq, cnt = np.unique(_pair_keys(field, fv, fa), return_counts=True)
-    targets = _pair_keys(field, field.sub_arrays(fv, b), field.sub_arrays(fa, b))
-    idx = np.minimum(np.searchsorted(uniq, targets), len(uniq) - 1)
-    return int(cnt[idx[uniq[idx] == targets]].sum())
+    keys, targets = _keys_and_targets(field, spec, a, b)
+    keys.sort()
+    targets.sort()
+    # the keys equal to an integer t are those below t + 1 and not below t
+    below = _rank_sums(keys, targets, (0, field.q))
+    targets += 1
+    return int((_rank_sums(keys, targets, (0, field.q)) - below)[0])
 
 
 def beta_row(field: FieldSpec, spec: BinomialSpec, b: Elt) -> int:
     """Number of pairs (x, y) with F(x)-F(y) = b and F(x+1)-F(y+1) = b.
 
-    Counts matches of (F(x)-b, F(x+1)-b) against the multiset of points
-    (F(y), F(y+1)) in one pass.
+    The pairs where y's key D(y) << 24 | F(y) equals x's target
+    D(x) << 24 | (F(x) - b), with D(x) = F(x+1) - F(x): the keys that
+    beta_profile sorts, matched against the sorted targets by two sorted
+    searchsorted passes, for the keys below t + 1 and below t.
     """
     _check_element(field, "b", b)
     return _beta_count(field, spec, 1, b)
 
 
-# bits of the low half of beta_profile's sort keys: every element is at most
-# TABLE_LIMIT - 1 (tables, and with them beta_profile, exist only up to
-# there), which fits in 24 bits, so a key d << 24 | F(x) is below 2^48
-_KEY_BITS = (TABLE_LIMIT - 1).bit_length()
-
-
 def beta_profile(field: FieldSpec, spec: BinomialSpec, a: Elt = 1) -> np.ndarray:
     """beta(a, b) for every b at once via the shift-difference grouping.
 
-    x is grouped by d(x) = F(x+a) - F(x).  One sort of the int64 keys
-    d(x) << 24 | F(x) lists the values F(x) class by class, and a shift and
+    x is grouped by d(x) = F(x+a) - F(x).  One sort of the keys
+    d(x) << 24 | F(x) from _diff_keys lists the values F(x) class by class, and a shift and
     a mask split them again; nothing depends on the order inside a class.
     Classes with s*s <= q go together to the pair kernel
     `_within_row_diff_hist`, at O(s^2) per class: it forms only the s(s-1)/2
@@ -130,9 +162,7 @@ def beta_profile(field: FieldSpec, spec: BinomialSpec, a: Elt = 1) -> np.ndarray
         raise ZeroShiftError("a must be nonzero")
     q = field.q
     fv = eval_table(field, spec)
-    keys = _shift_difference(field, fv, a)
-    keys <<= _KEY_BITS
-    keys |= fv
+    keys = _diff_keys(field, fv, a)
     keys.sort()
     ds = np.right_shift(keys, _KEY_BITS, out=fv)
     grouped = np.bitwise_and(keys, (1 << _KEY_BITS) - 1, out=keys)
@@ -252,7 +282,8 @@ def boom_spectrum(field: FieldSpec, spec: BinomialSpec) -> BoomSpectrum:
 
 
 def beta_ab(field: FieldSpec, spec: BinomialSpec, a: Elt, b: Elt) -> int:
-    """Solutions of F(x)-F(y) = b, F(x+a)-F(y+a) = b, for a != 0."""
+    """Solutions of F(x)-F(y) = b, F(x+a)-F(y+a) = b, for a != 0: beta_row's
+    sorted keys and targets, with D(x) = F(x+a) - F(x)."""
     _check_element(field, "a", a)
     _check_element(field, "b", b)
     if a == 0:
@@ -263,25 +294,36 @@ def beta_ab(field: FieldSpec, spec: BinomialSpec, a: Elt, b: Elt) -> int:
 def bijkl_counts(field: FieldSpec, spec: BinomialSpec, b: Elt) -> BijklCounts:
     """Solutions of the a = 1 system partitioned by (class(x), class(y)).
 
-    The points (F(y), F(y+1)) are tagged with y's sij_table code and sorted
-    once; per code of y, a searchsorted matches the targets (F(x)-b,
-    F(x+1)-b), and a bincount by x's code fills a 5 x 5 grid whose row and
+    The same keys and targets as beta_row, matched by sorted queries.  The
+    keys are tagged as key * 5 + y's sij_table code and sorted once.  The
+    targets are tagged with x's code above their 48 key bits, so one sort
+    groups them by the class of x, each class in target order.  Past that
+    tag, the matches of class c of y lie between the queries target * 5 + c
+    and target * 5 + c + 1: six searchsorted passes, one per bound, give
+    every class of y, summed per class of x into a 5 x 5 grid whose row and
     column 4 are the boundary."""
     _check_element(field, "b", b)
     if spec.u not in (1, field.minus_one):
         raise UnsupportedUError("class decomposition requires u = +-1")
     if b == 0:
         raise FFBinomError("b must be nonzero")
-    fv = eval_table(field, spec)
-    f1 = _shifted(field, fv, 1)
+    keys, targets = _keys_and_targets(field, spec, 1, b)
     codes = field.sij_table
-    uniq, cnt = np.unique(_pair_keys(field, fv, f1) * 5 + codes, return_counts=True)
-    targets = _pair_keys(field, field.sub_arrays(fv, b), field.sub_arrays(f1, b)) * 5
-    grid = np.zeros((5, 5), dtype=np.int64)
-    for cy in range(5):
-        tagged = targets + cy
-        idx = np.minimum(np.searchsorted(uniq, tagged), len(uniq) - 1)
-        hit = uniq[idx] == tagged
-        grid[:, cy] = np.bincount(codes[hit], weights=cnt[idx[hit]], minlength=5)
+    keys *= 5
+    keys += codes
+    keys.sort()
+    targets |= codes.astype(np.int64) << 2 * _KEY_BITS
+    targets.sort()
+    bounds = np.searchsorted(targets, np.arange(6, dtype=np.int64) << 2 * _KEY_BITS)
+    targets &= (1 << 2 * _KEY_BITS) - 1
+    targets *= 5
+    # ranks[c, cx]: over x of class cx, the keys below x's query
+    # target * 5 + c.  The keys of class cy equal to a tagged target are
+    # those below target * 5 + cy + 1 and not below target * 5 + cy
+    ranks = np.empty((6, 5), dtype=np.int64)
+    for c in range(6):
+        ranks[c] = _rank_sums(keys, targets, bounds)
+        targets += 1
+    grid = np.diff(ranks, axis=0).T
     inner = grid[:4, :4]
     return BijklCounts(dict(zip(_BIJKL_KEYS, map(int, inner.ravel()))), int(grid.sum() - inner.sum()))

@@ -55,6 +55,12 @@ Elt = int
 # Up to it every element and every log fits in the int32 tables.
 TABLE_LIMIT = 1 << 24
 
+
+def no_tables(q: int) -> FFBinomError:
+    """The error for an operation that needs tables on a field of order q."""
+    return FFBinomError(f"no tables for q = {q} > {TABLE_LIMIT}")
+
+
 # Rows per numpy pass of the exp-table build and the log scatter: their
 # temporaries stay O(_BUILD_CHUNK * n) whatever q is, and 2^16 rows measured
 # faster than 2^18.
@@ -524,7 +530,7 @@ class FieldSpec:
         if not 0 <= b < self.q:
             raise self._not_an_element(b)
         if self._exp is None:
-            raise self._no_tables()
+            raise no_tables(self.q)
         if a == 0 or b == 0:
             return 0
         return int(self._exp[(self._log[a] + self._log[b]) % (self.q - 1)])
@@ -533,7 +539,7 @@ class FieldSpec:
         if not 0 <= a < self.q:
             raise self._not_an_element(a)
         if self._exp is None:
-            raise self._no_tables()
+            raise no_tables(self.q)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return int(self._exp[(-self._log[a]) % (self.q - 1)])
@@ -545,7 +551,7 @@ class FieldSpec:
         if not 0 <= x < self.q:
             raise self._not_an_element(x)
         if self._exp is None:
-            raise self._no_tables()
+            raise no_tables(self.q)
         if x == 0:
             return 1 if e == 0 else 0
         # a Python int product: log * e passes int32 once q > 46 341
@@ -556,7 +562,7 @@ class FieldSpec:
         if not 0 <= x < self.q:
             raise self._not_an_element(x)
         if self._exp is None:
-            raise self._no_tables()
+            raise no_tables(self.q)
         return int(self._chi[x])
 
     # -- S_ij partition ------------------------------------------------------
@@ -625,12 +631,9 @@ class FieldSpec:
         self._require_tables()
         return self._chi
 
-    def _no_tables(self) -> FFBinomError:
-        return FFBinomError(f"no tables for q = {self.q} > {TABLE_LIMIT}")
-
     def _require_tables(self) -> None:
         if self._exp is None:
-            raise self._no_tables()
+            raise no_tables(self.q)
 
     def add_arrays(self, a, b) -> np.ndarray:
         """Elementwise field addition of encoded arrays (either may be a scalar).
@@ -782,7 +785,12 @@ class FieldSpec:
         return hist
 
 
-@functools.lru_cache(maxsize=None)
+# A few fields, not every one: a field holds its tables, and a sweep over
+# fields builds each of them once, so an unbounded cache grows with the
+# sweep (1.8 GB by q = 95 000 over the du fields).  Four hold the two fields
+# a caller alternates between, with room to spare.
+@functools.lru_cache(maxsize=4)
 def make_field(p: int, n: int) -> FieldSpec:
-    """Construct (and cache) the field F_{p^n} with its canonical modulus."""
+    """Construct (and cache) the field F_{p^n} with its canonical modulus;
+    the cache keeps the four most recently used fields."""
     return FieldSpec(p, n)

@@ -9,7 +9,7 @@ from typing import Callable, Iterator
 from . import boom, charsum, diff, family
 from .errors import HypothesisUnverifiedError, InvariantError, NotApplicableError, WrongResidueError
 from .family import BinomialSpec
-from .gf import FieldSpec, make_field, prime_power
+from .gf import TABLE_LIMIT, FieldSpec, make_field, no_tables, prime_power
 
 _OUTSIDE_HYPOTHESIS = "outside theorem hypothesis (q = 11); formulas still reproduce the row"
 
@@ -253,8 +253,15 @@ def verify(field: FieldSpec, theorem: str, r: int | None = None) -> VerifyReport
 
 
 def fields_for(theorem: str, qmax: int) -> Iterator[FieldSpec]:
-    """All fields a theorem applies to with order at most qmax."""
+    """All fields a theorem applies to with order at most qmax.
+
+    A qmax above TABLE_LIMIT raises FFBinomError at the first step, before
+    any field is built: a sweep would otherwise run for hours and fail only
+    at the first field without tables.
+    """
     t = _theorem(theorem)
+    if qmax > TABLE_LIMIT:
+        raise no_tables(qmax)
     q = t.first_q
     while q <= qmax:
         pn = prime_power(q)

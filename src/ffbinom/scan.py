@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 from . import diff, family
 from .boom import boom_spectrum
-from .errors import BadRangeError
+from .errors import BadRangeError, WrongResidueError
 from .family import BinomialSpec
 from .gf import FieldSpec, make_field
 
@@ -40,8 +40,8 @@ class ScanResult:
     in_table1: str | None
     cm_partner: int | None
     delta10: int | None  # measured only when d00_holds
-    # maxima of the a = 1 row over b != 0, which are the uniformities over
-    # every a != 0 when q = 3 (mod 4) and can be lower when q = 1 (mod 4)
+    # maxima of the a = 1 row over b != 0; scans run on q = 3 (mod 4) only,
+    # where these are the uniformities over every a != 0
     delta_max: int | None  # max delta(1, b)
     beta_max: int | None  # max beta(1, b)
 
@@ -123,8 +123,14 @@ def _scan_chunk(p: int, n: int, lo: int, hi: int, r_min: int, r_max: int) -> lis
 def scan_exponents(field: FieldSpec, r_min: int, r_max: int, jobs: int = 1) -> list[ScanResult]:
     """Scan [r_min, r_max] for exponents passing the S00 collision filter.
 
-    Output is sorted by (q, r) and identical for any worker count.
+    Output is sorted by (q, r) and identical for any worker count.  The
+    field must have q = 3 (mod 4), the theorem's setting, where the a = 1
+    row holds every shift's maximum; on q = 1 (mod 4) another row can be
+    higher (on F_13 with r = 2, beta(1, b) stays 0 while beta reaches 4), so
+    WrongResidueError is raised there.
     """
+    if field.q % 4 != 3:
+        raise WrongResidueError(f"scan needs q = 3 (mod 4), got q = {field.q}")
     if not 1 <= r_min <= r_max < field.q - 1:
         raise BadRangeError(f"need 1 <= r_min <= r_max < q-1, got [{r_min}, {r_max}]")
     p, n = field.p, field.n

@@ -5,7 +5,9 @@ through the table-free raw_mul and pow_slow below (polynomial products mod
 the field's modulus, and square-and-multiply), through FieldSpec's scalar
 methods one element at a time (naive_dij_counts, naive_d00_condition) or,
 in bulk, through the base-p digits of the encodings, and the prime field
-variants below use nothing but Python integers.
+variants below use nothing but Python integers.  pair_key_beta_count is
+the exception: it runs on the library's value table and bulk subtraction,
+with the boomerang count that the library replaced by its (D, F) keys.
 """
 
 from collections import Counter
@@ -15,7 +17,7 @@ import numpy as np
 from ffbinom.boom import BijklCounts
 from ffbinom.diff import CollisionReport, DijCounts
 from ffbinom.errors import FFBinomError
-from ffbinom.family import BinomialSpec, evaluate
+from ffbinom.family import BinomialSpec, _shifted, eval_table, evaluate
 from ffbinom.gf import FieldSpec, SijClass, _pmulmod
 
 
@@ -245,6 +247,22 @@ def naive_beta_count(field: FieldSpec, spec: BinomialSpec, a: int, b: int) -> in
             if field.sub(fv[x], fv[y]) == b and field.sub(fa[x], fa[y]) == b:
                 total += 1
     return total
+
+
+def pair_key_beta_count(field: FieldSpec, spec: BinomialSpec, a: int, b: int) -> int:
+    """beta(a, b) by value pairs: the points (F(y), F(y+a)), packed as
+    F(y) * q + F(y+a), are counted by np.unique, and each target
+    (F(x) - b, F(x+a) - b) is looked up among them.  Vectorized, unlike the
+    oracles above, so it reaches fields where naive_beta_count's q^2 pairs
+    are too many; it shares the value table with boom but neither the
+    (D, F) keys of its counts nor beta_profile's pair histograms, and is
+    the reference for beta_row, beta_ab and bijkl_counts(...).total."""
+    fv = eval_table(field, spec)
+    fa = _shifted(field, fv, a)
+    uniq, cnt = np.unique(fv * field.q + fa, return_counts=True)
+    targets = field.sub_arrays(fv, b) * field.q + field.sub_arrays(fa, b)
+    idx = np.minimum(np.searchsorted(uniq, targets), len(uniq) - 1)
+    return int(cnt[idx[uniq[idx] == targets]].sum())
 
 
 # -- prime fields with bare integer arithmetic ------------------------------

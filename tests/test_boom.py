@@ -1,13 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from ffbinom import boom
+from ffbinom import boom, family
 from ffbinom.boom import beta_ab, beta_profile, beta_row, bijkl_counts, boom_spectrum
 from ffbinom.errors import FFBinomError, InvariantError, UnsupportedUError, ZeroShiftError
 from ffbinom.family import BinomialSpec, eval_table
 from ffbinom.gf import TABLE_LIMIT, FieldSpec, make_field
 
-from naive_oracles import naive_beta_count, naive_bijkl_counts, packed_runs, pairwise_diff_hist, reduced_index
+from naive_oracles import (
+    naive_beta_count,
+    naive_bijkl_counts,
+    packed_runs,
+    pair_key_beta_count,
+    pairwise_diff_hist,
+    reduced_index,
+)
 
 
 @pytest.mark.parametrize("p,n,r", [(11, 1, 3), (3, 3, 2)])
@@ -46,7 +55,9 @@ def test_beta_profile_matches_beta_row(monkeypatch, p, n, r, u, fft_classes):
     assert len(sizes) == fft_classes
     assert all(s * s > f.q for s in sizes)
     for b in f.elements():
-        assert profile[b] == beta_row(f, spec, b)
+        # beta_row sorts the same (D, F) keys as the grouping; the pair-key
+        # oracle shares no key builder with either
+        assert profile[b] == beta_row(f, spec, b) == pair_key_beta_count(f, spec, 1, b)
 
 
 @pytest.mark.parametrize("p,n,r,u,fft", [(3, 7, 2, 1, False), (3, 7, 2, 2, False), (13, 3, 5, 1, False), (13, 3, 5, 12, False), (3, 4, 3, 0, True)])
@@ -81,7 +92,7 @@ def test_beta_profile_matches_beta_row_generic_u_near_1e4(monkeypatch):
     rng = np.random.default_rng(9931)
     bs = [0, int(profile[1:].argmax()) + 1, *rng.integers(1, f.q, 150).tolist()]
     for b in bs:
-        assert profile[b] == beta_row(f, spec, b)
+        assert profile[b] == beta_row(f, spec, b) == pair_key_beta_count(f, spec, 1, b)
     assert int(profile[1:].max()) >= 2
 
 
@@ -134,6 +145,7 @@ def test_beta_profile_matches_beta_ab_prime_field(monkeypatch, p, r, u, repeats)
         profile = beta_profile(f, spec, a)
         assert any(repeated) == repeats
         assert profile.tolist() == [beta_ab(f, spec, a, b) for b in f.elements()]
+        assert profile.tolist() == [pair_key_beta_count(f, spec, a, b) for b in f.elements()]
 
 
 # F_13 has q = 1 (mod 4); u = 6 and u = 2 are -1 on F_{7^2} and F_{3^5}
@@ -151,7 +163,7 @@ def test_shifted_is_value_at_x_plus_a(p, n):
     f = make_field(p, n)
     fv = eval_table(f, BinomialSpec(5, 2))
     for a in (1, 2, f.q - 1):
-        assert boom._shifted(f, fv, a).tolist() == [int(fv[f.add(x, a)]) for x in f.elements()]
+        assert family._shifted(f, fv, a).tolist() == [int(fv[f.add(x, a)]) for x in f.elements()]
 
 
 def test_key_bits_fit_every_table_field():
@@ -394,12 +406,28 @@ def test_row_reductions_hold_for_general_u(p, n):
 
 @pytest.mark.parametrize("u", [1, 7])
 def test_beta_row_matches_profile_near_1e5(u):
-    # beta_row packs its (F(x), F(x+1)) points as F(x) * q + F(x+1), which
-    # needs int64 values once q^2 passes 2^31: at q = 100003 an int32 value
-    # array wraps those keys while every smaller test field still passes
+    # at q = 100003 a product of two values passes 2^31, so an int32 value
+    # array would wrap any key that multiplies two of them, while every
+    # smaller test field still passes
     f = make_field(100003, 1)
     spec = BinomialSpec(5, u)
     profile = beta_profile(f, spec)
     top = int(profile[1:].argmax()) + 1
     for b in (0, 1, 2, top, f.q - 1):
-        assert beta_row(f, spec, b) == int(profile[b])
+        assert beta_row(f, spec, b) == int(profile[b]) == pair_key_beta_count(f, spec, 1, b)
+
+
+def test_beta_row_peak_memory_near_1e5():
+    # the keys and the targets, sorted in place, and one searchsorted result
+    # at a time: the traced peak stays below five q-long int64 arrays (the
+    # pair-key count held eight)
+    f = make_field(100003, 1)
+    spec = BinomialSpec(5, 7)
+    expected = beta_row(f, spec, 1)  # builds any lazy table outside the trace
+    tracemalloc.start()
+    try:
+        assert beta_row(f, spec, 1) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 8 * f.q

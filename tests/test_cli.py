@@ -220,6 +220,8 @@ def test_bulk_ops_above_table_limit_exit_1(capsys):
         ["spectrum", "diff", "--p", "16777259", "--r", "3"],
         ["spectrum", "boom", "--p", "16777259", "--r", "2"],
         ["charsum", "gamma", "--p", "16777259"],
+        # refused before any field is built, not after a sweep of hours
+        ["verify", "--theorem", "du", "--qmax", "16777259"],
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
@@ -286,6 +288,16 @@ def test_scan_cli_stdout(capsys):
     assert code == 0
     rows = [json.loads(line) for line in out.strip().splitlines()]
     assert {row["r"] for row in rows} == {2, 3, 4, 6, 7, 8, 9}
+
+
+def test_scan_cli_rejects_q_1_mod_4(capsys):
+    # on F_13 the a = 1 row of r = 2 has beta_max 0 while beta reaches 4
+    # at another shift: a hit there would rest on the wrong row
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scan", "--p", "13", "--rmin", "2", "--rmax", "6"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert "q = 3 (mod 4)" in captured.err and captured.out == ""
 
 
 def test_scan_cli_out_file(capsys, tmp_path):

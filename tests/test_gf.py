@@ -1,12 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ffbinom import boom, charsum, diff, gf
+from ffbinom import boom, charsum, diff, gf, predict
 from ffbinom.errors import BadDegreeError, EvenCharacteristicError, FFBinomError, InvariantError, NonPrimeError
-from ffbinom.family import BinomialSpec, eval_table
+from ffbinom.family import BinomialSpec, eval_table, table1_exponents
 from ffbinom.gf import FieldSpec, SijClass, is_prime, make_field, prime_power
 
 from naive_oracles import (
@@ -28,6 +29,46 @@ def test_make_field_basic():
     k = make_field(3, 3)
     assert k.q == 27
     assert k.modulus is not None and len(k.modulus) == 4 and k.modulus[-1] == 1
+
+
+def test_make_field_cache_keeps_recent_fields():
+    # two fields used in turn stay cached while a few others come and go:
+    # scan_exponents looks its field up again by (p, n), which must not
+    # build the tables a second time
+    make_field.cache_clear()
+    a, b = make_field(107, 1), make_field(7, 3)
+    for p, n in [(11, 1), (3, 3), (107, 1), (7, 3), (19, 1)]:
+        make_field(p, n)
+        assert make_field(107, 1) is a and make_field(7, 3) is b
+    make_field.cache_clear()  # clearing still works, as the benchmark does
+    assert make_field(107, 1) is not a
+
+
+def test_field_sweep_memory_is_bounded():
+    # a library sweep over the 344 du fields up to 5000: the cache keeps a
+    # few fields, so the traced peak is a small multiple of the largest
+    # field's tables (7.4 of them here); an unbounded cache kept every
+    # field, 160 times those tables
+    make_field.cache_clear()
+    tracemalloc.start()
+    try:
+        swept = []
+        for fld in predict.fields_for("du", 5000):
+            for fam in table1_exponents(fld):
+                assert predict.verify(fld, "du", fam.r).match
+            swept.append((fld.p, fld.n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(swept) == 344
+    tracemalloc.start()
+    try:
+        largest = FieldSpec(*swept[-1])
+        tables = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert largest.q == max(p**n for p, n in swept)
+    assert peak < 12 * tables
 
 
 def test_make_field_errors():

@@ -9,9 +9,9 @@ from ffbinom import charsum, diff, predict
 from ffbinom.boom import boom_spectrum
 from ffbinom.charsum import CharSumResult
 from ffbinom.diff import diff_spectrum
-from ffbinom.errors import HypothesisUnverifiedError, InvariantError, NotApplicableError, WrongResidueError
+from ffbinom.errors import FFBinomError, HypothesisUnverifiedError, InvariantError, NotApplicableError, WrongResidueError
 from ffbinom.family import BinomialSpec, table1_exponents
-from ffbinom.gf import make_field
+from ffbinom.gf import TABLE_LIMIT, make_field
 from ffbinom.predict import (
     fields_for,
     predict_bs_f2,
@@ -155,7 +155,7 @@ _PARITY_GUARD_UNDER_O = """
 from ffbinom import charsum, predict
 from ffbinom.charsum import CharSumResult
 from ffbinom.errors import InvariantError
-from ffbinom.gf import make_field
+from ffbinom.gf import TABLE_LIMIT, make_field
 
 if __debug__:
     raise SystemExit(2)
@@ -250,6 +250,16 @@ def test_fields_for():
     assert du_qs == [3, 7, 11, 19, 23, 27]
     with pytest.raises(NotApplicableError):
         list(fields_for("nope", 100))
+
+
+def test_fields_for_refuses_orders_without_tables():
+    # above TABLE_LIMIT at the first step, before any field is built
+    make_field.cache_clear()
+    sweep = fields_for("du", TABLE_LIMIT + 1)
+    with pytest.raises(FFBinomError, match=f"no tables for q = {TABLE_LIMIT + 1}"):
+        next(sweep)
+    assert make_field.cache_info().misses == 0
+    assert [f.q for f in fields_for("du", 7)] == [3, 7]
 
 
 def test_fields_for_includes_prime_powers():

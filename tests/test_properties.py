@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffbinom import boom
-from ffbinom.boom import beta_ab, beta_profile
+from ffbinom.boom import beta_ab, beta_profile, beta_row, bijkl_counts
 from ffbinom.diff import d00_condition, dij_counts
 from ffbinom.family import BinomialSpec, _shift_difference, eval_table, evaluate
 from ffbinom.gf import is_prime, make_field
@@ -27,6 +27,7 @@ from naive_oracles import (
     naive_eval,
     naive_shift_difference,
     packed_runs,
+    pair_key_beta_count,
     pairwise_diff_hist,
     pow_slow,
     raw_mul,
@@ -215,6 +216,26 @@ def test_prime_field_beta_profile_matches_naive_count(data):
     bs = {0, int(profile[1:].argmax()) + 1, *data.draw(st.lists(st.integers(0, f.q - 1), max_size=2))}
     for b in sorted(bs):
         assert profile[b] == naive_beta_count(f, spec, a, b)
+
+
+@_SETTINGS
+@given(data=st.data())
+def test_boomerang_counts_match_pair_key_oracle(data):
+    # b = 0 (every x pairs with itself), +-1, F(x) - F(y) for drawn x and y
+    # (the first equation has a solution) and any element; u in {0, +-1}
+    # or any element, and bijkl_counts where it applies (u = +-1, b != 0)
+    f = data.draw(fields() | prime_fields())
+    u = data.draw(st.sampled_from([0, 1, f.minus_one]) | st.integers(0, f.q - 1))
+    spec = BinomialSpec(data.draw(st.integers(1, 2 * f.q)), u)
+    a = data.draw(shifts(f))
+    x, y = data.draw(st.integers(0, f.q - 1)), data.draw(st.integers(0, f.q - 1))
+    values = eval_table(f, spec)
+    b = data.draw(st.sampled_from([0, 1, f.minus_one, f.sub(int(values[x]), int(values[y]))]) | st.integers(0, f.q - 1))
+    row = pair_key_beta_count(f, spec, 1, b)
+    assert beta_row(f, spec, b) == row
+    assert beta_ab(f, spec, a, b) == pair_key_beta_count(f, spec, a, b)
+    if b and u in (1, f.minus_one):
+        assert bijkl_counts(f, spec, b).total == row
 
 
 @_SETTINGS

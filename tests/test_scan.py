@@ -5,8 +5,9 @@ import os
 
 import pytest
 
-from ffbinom.errors import BadRangeError
-from ffbinom.family import table1_exponents
+from ffbinom.boom import beta_ab, beta_row
+from ffbinom.errors import BadRangeError, WrongResidueError
+from ffbinom.family import BinomialSpec, table1_exponents
 from ffbinom.gf import make_field
 from ffbinom.scan import orbit, orbit_id, scan_exponents, write_jsonl
 
@@ -146,6 +147,19 @@ def test_scan_full_range_f243():
             assert res.delta_max <= 2 and res.beta_max <= 2
         if res.in_table1 is not None:
             assert res.d00_holds
+
+
+def test_scan_rejects_q_1_mod_4():
+    # F_13, r = 2: the a = 1 row is all zero off b = 0, while beta(a, b)
+    # reaches 4 at another shift, so the row's maximum is no uniformity
+    f = make_field(13, 1)
+    spec = BinomialSpec(2, 1)
+    assert max(beta_row(f, spec, b) for b in range(1, f.q)) == 0
+    assert max(beta_ab(f, spec, a, b) for a in range(1, f.q) for b in range(1, f.q)) == 4
+    with pytest.raises(WrongResidueError):
+        scan_exponents(f, 2, 2)
+    with pytest.raises(WrongResidueError):
+        scan_exponents(make_field(5, 2), 2, 6, jobs=2)
 
 
 def test_scan_bad_ranges():
