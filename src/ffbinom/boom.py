@@ -4,9 +4,13 @@ Every count here starts from one int64 key per x, D(x) << 24 | F(x) with
 D(x) = F(x+a) - F(x), and one builder, _diff_keys, makes them.  A pair
 (x, y) solves F(x) - F(y) = b, F(x+a) - F(y+a) = b iff D(x) = D(y) and
 F(y) = F(x) - b, that is iff y's key equals x's target
-D(x) << 24 | (F(x) - b).  beta_row, beta_ab and bijkl_counts sort the keys
-and the targets in place and count the equal pairs by searchsorted, with
-no np.unique and no scattered queries.
+D(x) << 24 | (F(x) - b).  beta_row and beta_ab sort the keys in place and
+count the equal pairs by searchsorted, with no np.unique and no scattered
+queries.  A target is a function of its key alone, so they take the
+targets from the sorted keys one block of gf._BUILD_CHUNK at a time, and
+no q-long target array exists.  bijkl_counts needs each target next to
+the class of its x: it builds them block by block in the value table's
+buffer, sorts them and searches them one block at a time.
 
 beta_profile sorts the keys alone, which groups x by D(x) and turns the
 whole b-profile into per-group pair-difference histograms.  Small groups are
@@ -30,6 +34,11 @@ each other in place.  On F_{p^n} every difference is taken in the log
 domain by FieldSpec.sub_arrays, through Zech's logarithms.  Shifts a and
 targets b are checked to be elements of [0, q) on entry, as u is.
 bijkl_counts reads the classes of x and y from FieldSpec.sij_table.
+
+The block rule of gf holds here too: no count holds more than about two
+live q-long arrays (the value table and the keys, or the keys and the
+targets) plus one block of scratch, and beta_profile drops every per-class
+array before its pair kernel runs.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gf
 from .errors import FFBinomError, InvariantError, UnsupportedUError, ZeroShiftError
 from .family import BinomialSpec, _check_element, _shift_difference, eval_table
 from .gf import _PAIR_CHUNK, TABLE_LIMIT, Elt, FieldSpec
@@ -78,6 +88,7 @@ class BijklCounts:
 # TABLE_LIMIT - 1 (tables, and with them every count here, exist only up to
 # there), which fits in 24 bits, so a key d << 24 | F(x) is below 2^48
 _KEY_BITS = (TABLE_LIMIT - 1).bit_length()
+_LOW = (1 << _KEY_BITS) - 1
 
 
 def _diff_keys(field: FieldSpec, fv: np.ndarray, a: Elt) -> np.ndarray:
@@ -90,32 +101,50 @@ def _diff_keys(field: FieldSpec, fv: np.ndarray, a: Elt) -> np.ndarray:
     return keys
 
 
+def _targets(field: FieldSpec, keys: np.ndarray, b: Elt) -> np.ndarray:
+    # the target of each key of a block, D << 24 | (F - b): the key with
+    # F - b in place of its low bits F, as a new array
+    targets = np.bitwise_and(keys, _LOW)
+    field._sub_into(targets, b, targets)
+    targets |= np.bitwise_and(keys, ~_LOW)
+    return targets
+
+
 def _keys_and_targets(field: FieldSpec, spec: BinomialSpec, a: Elt, b: Elt) -> tuple[np.ndarray, np.ndarray]:
-    # x's target is its key with F(x) - b in place of F(x)
+    # the keys and x's target, the key with F(x) - b in place of F(x), which
+    # is built block by block in the value table's buffer
     fv = eval_table(field, spec)
     keys = _diff_keys(field, fv, a)
-    targets = field.sub_arrays(fv, b)
-    targets -= fv
-    targets += keys
-    return keys, targets
+    for lo, hi in gf._blocks(field.q):
+        fv[lo:hi] = _targets(field, keys[lo:hi], b)
+    return keys, fv
 
 
 def _rank_sums(keys: np.ndarray, queries: np.ndarray, bounds) -> np.ndarray:
     # for each segment queries[lo:hi] between consecutive bounds, the sum
-    # over its queries t of #{keys < t}.  keys are sorted and so is each
-    # segment, so neighbouring binary searches read the same cache lines
-    ranks = np.searchsorted(keys, queries)
-    return np.array([ranks[lo:hi].sum() for lo, hi in zip(bounds[:-1], bounds[1:])], dtype=np.int64)
+    # over its queries t of #{keys < t}, searched one block of queries at a
+    # time.  keys are sorted and so is each segment, so neighbouring binary
+    # searches read the same cache lines
+    sums = np.zeros(len(bounds) - 1, dtype=np.int64)
+    for lo, hi in gf._blocks(len(queries)):
+        ranks = np.searchsorted(keys, queries[lo:hi])
+        cuts = np.clip(bounds, lo, hi) - lo
+        sums += [ranks[start:end].sum() for start, end in zip(cuts[:-1], cuts[1:])]
+    return sums
 
 
 def _beta_count(field: FieldSpec, spec: BinomialSpec, a: Elt, b: Elt) -> int:
-    keys, targets = _keys_and_targets(field, spec, a, b)
+    # x's target is a function of x's key alone, so the sorted keys give the
+    # targets one block at a time and no q-long target array is built; the
+    # keys equal to a target t are those up to t and not below t
+    keys = _diff_keys(field, eval_table(field, spec), a)
     keys.sort()
-    targets.sort()
-    # the keys equal to an integer t are those below t + 1 and not below t
-    below = _rank_sums(keys, targets, (0, field.q))
-    targets += 1
-    return int((_rank_sums(keys, targets, (0, field.q)) - below)[0])
+    count = 0
+    for lo, hi in gf._blocks(field.q):
+        targets = _targets(field, keys[lo:hi], b)
+        count += int(np.searchsorted(keys, targets, "right").sum())
+        count -= int(np.searchsorted(keys, targets, "left").sum())
+    return count
 
 
 def beta_row(field: FieldSpec, spec: BinomialSpec, b: Elt) -> int:
@@ -123,8 +152,8 @@ def beta_row(field: FieldSpec, spec: BinomialSpec, b: Elt) -> int:
 
     The pairs where y's key D(y) << 24 | F(y) equals x's target
     D(x) << 24 | (F(x) - b), with D(x) = F(x+1) - F(x): the keys that
-    beta_profile sorts, matched against the sorted targets by two sorted
-    searchsorted passes, for the keys below t + 1 and below t.
+    beta_profile sorts, matched against the targets of each block of the
+    sorted keys by two searchsorted passes, for the keys up to t and below t.
     """
     _check_element(field, "b", b)
     return _beta_count(field, spec, 1, b)
@@ -134,16 +163,15 @@ def beta_profile(field: FieldSpec, spec: BinomialSpec, a: Elt = 1) -> np.ndarray
     """beta(a, b) for every b at once via the shift-difference grouping.
 
     x is grouped by d(x) = F(x+a) - F(x).  One sort of the keys
-    d(x) << 24 | F(x) from _diff_keys lists the values F(x) class by class, and a shift and
-    a mask split them again; nothing depends on the order inside a class.
-    Classes with s*s <= q go together to the pair kernel
+    d(x) << 24 | F(x) from _diff_keys lists the values F(x) class by class,
+    and a shift and a mask split them again; nothing depends on the order
+    inside a class.  Classes with s*s <= q go together to the pair kernel
     `_within_row_diff_hist`, at O(s^2) per class: it forms only the s(s-1)/2
     unordered pairs and bins each difference together with its negation,
     and finds the runs from the same mask of equal neighbouring differences
-    that splits the classes.  When every class is that small (u outside
-    {0, +-1} with a small r), no selection runs at all.  Larger classes
-    (the zero-difference one dominates) go one by one to
-    `FieldSpec.outer_diff_hist`, which costs O(k^2 + q) for k*k <= q
+    that splits the classes (u outside {0, +-1} with a small r has no other
+    kind).  Larger classes (the zero-difference one dominates) go one by
+    one to `FieldSpec.outer_diff_hist`, which costs O(k^2 + q) for k*k <= q
     distinct values and O(q log q) by FFT above that.
     Each ordered pair within a class lands in exactly one bin, so the
     profile must sum to sum_c delta(a, c)^2, the sum of the squared class
@@ -152,10 +180,12 @@ def beta_profile(field: FieldSpec, spec: BinomialSpec, a: Elt = 1) -> np.ndarray
     The keys are built in the shift-difference array, which the call owns,
     and the sorted differences are written back into the value table's
     buffer; past those two, the grouping allocates only the class mask and
-    the per-class `ends` and `sizes`.  The differences, and on the
-    all-small path `ends` and `sizes`, are freed before the pair kernel
-    runs, so its temporaries can reuse that memory instead of growing the
-    heap, whose fresh pages each cost a page fault.
+    the per-class `ends` and `sizes`.  The differences, `ends` and `sizes`
+    are freed before the pair kernel runs, so its temporaries can reuse that
+    memory instead of growing the heap, whose fresh pages each cost a page
+    fault.  The large classes stay in place: their stretch of the class
+    mask is cleared, so the pair kernel sees them as singletons, and their
+    zero differences, which it counts for every value, are taken off again.
     """
     _check_element(field, "a", a)
     if a == 0:
@@ -165,7 +195,7 @@ def beta_profile(field: FieldSpec, spec: BinomialSpec, a: Elt = 1) -> np.ndarray
     keys = _diff_keys(field, fv, a)
     keys.sort()
     ds = np.right_shift(keys, _KEY_BITS, out=fv)
-    grouped = np.bitwise_and(keys, (1 << _KEY_BITS) - 1, out=keys)
+    grouped = np.bitwise_and(keys, _LOW, out=keys)
     # last[x]: position x ends a class; negated in place it becomes same[x],
     # positions x and x + 1 lie in one class
     last = np.empty(q, dtype=bool)
@@ -181,15 +211,20 @@ def beta_profile(field: FieldSpec, spec: BinomialSpec, a: Elt = 1) -> np.ndarray
     sizes[0] = ends[0]
     np.subtract(ends[1:], ends[:-1], out=sizes[1:])
     pairs = int(np.dot(sizes, sizes))
-    if int(sizes.max()) ** 2 <= q:
-        del ends, sizes  # dead on this path, like the differences
-        profile = _within_row_diff_hist(field, grouped, same)
-    else:
-        small = sizes * sizes <= q
-        keep = np.repeat(small, sizes)
-        profile = _within_row_diff_hist(field, grouped[keep], same[keep])
-        for c in np.flatnonzero(~small):
-            profile += field.outer_diff_hist(grouped[ends[c] - sizes[c] : ends[c]])
+    # the classes too large for the pair kernel, as [start, end) bounds;
+    # then the per-class arrays are dead, like the differences
+    large = []
+    if int(sizes.max()) ** 2 > q:
+        large = [(int(ends[c] - sizes[c]), int(ends[c])) for c in np.flatnonzero(sizes * sizes > q)]
+    del ends, sizes
+    for start, end in large:
+        # the pair kernel sees a large class as singletons: it forms none of
+        # its pairs, and outer_diff_hist counts its zero differences
+        same[start:end] = False
+    profile = _within_row_diff_hist(field, grouped, same)
+    for start, end in large:
+        profile[0] -= end - start
+        profile += field.outer_diff_hist(grouped[start:end])
     if int(profile.sum()) != pairs:
         raise InvariantError(f"boomerang profile sums to {int(profile.sum())}, not {pairs} = sum of squared class sizes")
     return profile
@@ -236,14 +271,15 @@ def _within_row_diff_hist(field: FieldSpec, values: np.ndarray, same: np.ndarray
 
 def _offset_pair_diffs(field: FieldSpec, values: np.ndarray, same: np.ndarray):
     # the pairs (i, i + t) inside a run, for t = 1, 2, ...: a run of size s
-    # has s - t of them, and i stays while i + t + 1 is still in its run;
-    # values[i] is gathered once and compressed with i.  Yielded in pieces
-    # of at most _PAIR_CHUNK differences
-    i, t = np.flatnonzero(same), 1
-    vi = values[i]
-    while len(i):
-        j = i + t
-        for lo in range(0, len(i), _PAIR_CHUNK):
+    # has s - t of them, and i stays while i + t + 1 is still in its run.
+    # values[i] is gathered once and compressed with the positions j = i + t,
+    # which move on in place.  Yielded in pieces of at most _PAIR_CHUNK
+    # differences
+    j = np.flatnonzero(same)
+    vi = values[j]
+    j += 1
+    while len(j):
+        for lo in range(0, len(j), _PAIR_CHUNK):
             a, b = vi[lo : lo + _PAIR_CHUNK], values[j[lo : lo + _PAIR_CHUNK]]
             if field.n == 1:
                 # |b - a| is b - a or a - b, each in [0, q)
@@ -254,21 +290,26 @@ def _offset_pair_diffs(field: FieldSpec, values: np.ndarray, same: np.ndarray):
         # an index gather, not a boolean-mask selection: the mask is
         # irregular, and numpy selects by it several times slower
         stay = np.flatnonzero(same[j])
-        i, vi = i[stay], vi[stay]
-        t += 1
+        j = j[stay]
+        j += 1
+        vi = vi[stay]
 
 
 def _pooled(pieces, size: int):
-    # concatenations of consecutive pieces, each of about `size` entries
+    # concatenations of consecutive pieces, each of about `size` entries;
+    # the pieces are dropped before their concatenation is yielded
     pending, pooled = [], 0
     for piece in pieces:
         pending.append(piece)
         pooled += len(piece)
         if pooled >= size:
-            yield np.concatenate(pending)
+            joined = np.concatenate(pending)
             pending, pooled = [], 0
+            yield joined
     if pending:
-        yield np.concatenate(pending)
+        joined = np.concatenate(pending)
+        del pending
+        yield joined
 
 
 def boom_spectrum(field: FieldSpec, spec: BinomialSpec) -> BoomSpectrum:
@@ -283,7 +324,7 @@ def boom_spectrum(field: FieldSpec, spec: BinomialSpec) -> BoomSpectrum:
 
 def beta_ab(field: FieldSpec, spec: BinomialSpec, a: Elt, b: Elt) -> int:
     """Solutions of F(x)-F(y) = b, F(x+a)-F(y+a) = b, for a != 0: beta_row's
-    sorted keys and targets, with D(x) = F(x+a) - F(x)."""
+    sorted keys and their targets, with D(x) = F(x+a) - F(x)."""
     _check_element(field, "a", a)
     _check_element(field, "b", b)
     if a == 0:
@@ -294,7 +335,8 @@ def beta_ab(field: FieldSpec, spec: BinomialSpec, a: Elt, b: Elt) -> int:
 def bijkl_counts(field: FieldSpec, spec: BinomialSpec, b: Elt) -> BijklCounts:
     """Solutions of the a = 1 system partitioned by (class(x), class(y)).
 
-    The same keys and targets as beta_row, matched by sorted queries.  The
+    The same keys and targets as beta_row, matched by sorted queries, with
+    the targets built block by block in the value table's buffer.  The
     keys are tagged as key * 5 + y's sij_table code and sorted once.  The
     targets are tagged with x's code above their 48 key bits, so one sort
     groups them by the class of x, each class in target order.  Past that

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -104,15 +103,25 @@ def quad_char_sum(field: FieldSpec, a2: Elt, a1: Elt, a0: Elt) -> int:
     return value
 
 
-def odd_fn_sum_check(field: FieldSpec, f: Callable[[Elt], Elt]) -> int:
-    """Sum of chi(f(x)) for an odd f when q = 3 (mod 4); always zero."""
+def odd_fn_sum_check(field: FieldSpec, values: np.ndarray) -> int:
+    """Sum of chi(f(x)) for an odd f when q = 3 (mod 4); always zero.
+
+    f is given by its value table, values[x] = f(x) for every encoded x.
+    Oddness is the array identity values[-x] = -values[x], with -x = 0 - x
+    from FieldSpec.sub_arrays, and the sum reads chi_table[values].
+    """
     if field.q % 4 != 3:
         raise WrongResidueError(f"q = {field.q} is not 3 mod 4")
-    field.chi_table  # raises "no tables" before the q-long oddness loop, not after
-    for x in field.elements():
-        if f(field.neg(x)) != field.neg(f(x)):
-            raise NotOddError(f"f(-x) != -f(x) at x = {x}")
-    value = sum(field.chi(f(x)) for x in field.elements())
+    chi = field.chi_table  # raises "no tables" before any array work
+    values = np.asarray(values)
+    if values.shape != (field.q,) or values.dtype.kind not in "iu" or values.min() < 0 or values.max() >= field.q:
+        raise FFBinomError(f"values must hold one element of F_{field.q} for each of its {field.q} elements")
+    values = values.astype(np.int64, copy=False)
+    negated = field.sub_arrays(0, np.arange(field.q, dtype=np.int64))
+    odd = values[negated] == field.sub_arrays(0, values)
+    if not odd.all():
+        raise NotOddError(f"f(-x) != -f(x) at x = {int(np.argmin(odd))}")
+    value = int(chi[values].sum(dtype=np.int64))
     if value != 0:
         raise InvariantError(f"character sum of an odd function is {value}, not 0")
     return value

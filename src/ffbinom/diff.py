@@ -130,6 +130,7 @@ def d00_condition(field: FieldSpec, r: int) -> CollisionReport:
     # slower; s00 is ascending, so the witness x are the two smallest
     s00 = np.flatnonzero(field.sij_table == 0)
     vals = g[s00]
+    del g  # the row is dead: the histogram below can reuse its memory
     counts = np.bincount(vals[np.flatnonzero(vals)])
     bad = np.flatnonzero(counts >= 2)
     if len(bad) == 0:

@@ -6,6 +6,10 @@ while 0^r stays 0.
 
 Its value table is FieldSpec.power_table(r) scaled by 1 + u on squares and
 1 - u on non-squares; this module reads no field table itself.
+
+The shift-difference row follows gf's block rule: above gf._BUILD_CHUNK
+elements it is formed block by block in its own array, so it holds the
+value table, the row and one block of scratch.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gf
 from .errors import FFBinomError
 from .gf import Elt, FieldSpec, _reduce
 
@@ -94,14 +99,34 @@ def _shift_difference(field: FieldSpec, values: np.ndarray, a: Elt = 1) -> np.nd
     differences written into one array, each in (-q, q), and then reduced
     in place (gf._reduce): no rotated copy of the values.  On F_{p^n} it is
     a gather and a Zech-logarithm subtraction.
+
+    Above gf._BUILD_CHUNK elements the row is formed block by block in the
+    result, and nothing else q-long is allocated: on F_p the slices of each
+    block are reduced through one int32 block of scratch, and on F_{p^n}
+    each block gathers F(x + a) into its part of the result, which the
+    Zech subtraction then overwrites (FieldSpec._sub_into).
     """
-    if field.n > 1:
-        return field.sub_arrays(_shifted(field, values, a), values)
     q = field.q
+    if q <= gf._BUILD_CHUNK:
+        if field.n > 1:
+            return field.sub_arrays(_shifted(field, values, a), values)
+        d = np.empty(q, dtype=np.int64)
+        np.subtract(values[a:], values[: q - a], out=d[: q - a])
+        np.subtract(values[:a], values[q - a :], out=d[q - a :])
+        return _reduce(d, q)
     d = np.empty(q, dtype=np.int64)
-    np.subtract(values[a:], values[: q - a], out=d[: q - a])
-    np.subtract(values[:a], values[q - a :], out=d[q - a :])
-    return _reduce(d, q)
+    for lo, hi in gf._blocks(q):
+        block = d[lo:hi]
+        if field.n > 1:
+            index = field.succ_table[lo:hi] if a == 1 else field.add_arrays(np.arange(lo, hi, dtype=np.int64), a)
+            np.take(values, index, out=block, mode="clip")  # "raise" would buffer out
+            field._sub_into(block, values[lo:hi], block)
+        else:
+            mid = min(max(q - a, lo), hi)  # x + a wraps from x = q - a on
+            np.subtract(values[lo + a : mid + a], values[lo:mid], out=d[lo:mid])
+            np.subtract(values[mid + a - q : hi + a - q], values[mid:hi], out=d[mid:hi])
+            gf._add_q_where_negative(block, q, gf._spare(d, hi, hi - lo))
+    return d
 
 
 def table1_exponents(field: FieldSpec) -> list[ExponentFamily]:

@@ -35,6 +35,15 @@ Bulk addition and subtraction on F_{p^n} stay in the log domain too, through
 Zech's logarithms Z[k] = log(1 + g^k), one q-long table (K. Huber, "Some
 comments on Zech's logarithms", IEEE Trans. Inf. Theory 36, 1990); on F_p
 they are integer arithmetic on the encodings.
+
+The block rule: a bulk pass over more than _BUILD_CHUNK (2^16) elements runs
+in blocks of that many and writes each block straight into its one output,
+so it keeps one block of scratch and no q-long quotient, mask or index
+array.  The exponent pass of power_table and the log-domain sums of
+add_arrays, sub_arrays and mul_arrays with a q-long operand (_blockwise)
+follow it, and so do the lazy Zech and class tables.  Up to _BUILD_CHUNK
+elements, which covers every field up to 2^16, the passes are the same
+whole-array numpy calls as before blocking.
 """
 
 from __future__ import annotations
@@ -63,7 +72,8 @@ def no_tables(q: int) -> FFBinomError:
 
 # Rows per numpy pass of the exp-table build and the log scatter: their
 # temporaries stay O(_BUILD_CHUNK * n) whatever q is, and 2^16 rows measured
-# faster than 2^18.
+# faster than 2^18.  The bulk passes over longer arrays run in blocks of as
+# many elements (_blocks), so their scratch is one block, not q-long.
 _BUILD_CHUNK = 1 << 16
 
 # Differences per pass of the pair-difference kernels (outer_diff_hist and
@@ -90,6 +100,58 @@ def _reduce(e, m: int, scratch: np.ndarray | None = None):
     t *= m
     e -= t
     return e
+
+
+def _blocks(n: int) -> list[tuple[int, int]]:
+    """The bounds [lo, hi) of consecutive blocks of _BUILD_CHUNK entries
+    that cover range(n); read at call time, so a test can shrink it."""
+    return [(lo, min(n, lo + _BUILD_CHUNK)) for lo in range(0, n, _BUILD_CHUNK)]
+
+
+def _spare(out: np.ndarray, hi: int, size: int) -> np.ndarray:
+    """int32 scratch of `size` entries for a pass that fills the 1-d int64
+    array `out` block by block and is at the block that ends at hi: the
+    bytes of out[hi:], which the pass writes later, where there are enough
+    of them, else a new array.  Only the last block or two allocate, so the
+    pass holds no more than its output and one int32 block."""
+    spare = out[hi:].view(np.int32)
+    return spare[:size] if len(spare) >= size else np.empty(size, dtype=np.int32)
+
+
+def _add_q_where_negative(d: np.ndarray, q: int, scratch: np.ndarray) -> np.ndarray:
+    """d + q where d < 0, in place, for an int64 array d in (-q, q): the sign
+    shifted down to -1 or 0, in an int32 scratch of d's shape, masks q."""
+    np.right_shift(d, 63, out=scratch, casting="unsafe")
+    scratch &= q
+    d += scratch
+    return d
+
+
+def _long_operand(a, b) -> int:
+    # the length of a 1-d operand longer than _BUILD_CHUNK, when the other
+    # is a scalar or as long; 0 for anything else, whole-array work
+    n = max(np.size(a), np.size(b))
+    if n <= _BUILD_CHUNK or any(np.ndim(x) > 1 or np.ndim(x) == 1 and len(x) != n for x in (a, b)):
+        return 0
+    return n
+
+
+def _blockwise(a, b, whole, block) -> np.ndarray:
+    """A bulk operation of two operands: whole(a, b), or block by block.
+
+    When one operand is 1-d and longer than _BUILD_CHUNK and the other is a
+    scalar or as long, block(a, b, out) runs on their blocks and writes
+    into its block of one int64 output, so its temporaries stay one block
+    long.  Anything else, every operand of a field up to _BUILD_CHUNK
+    elements among them, is one whole(a, b) call.
+    """
+    n = _long_operand(a, b)
+    if not n:
+        return whole(a, b)
+    out = np.empty(n, dtype=np.int64)
+    for lo, hi in _blocks(n):
+        block(a[lo:hi] if np.ndim(a) else a, b[lo:hi] if np.ndim(b) else b, out[lo:hi])
+    return out
 
 
 def is_prime(m: int) -> bool:
@@ -611,7 +673,18 @@ class FieldSpec:
         the partition: 2i + j for x in S_ij, where chi(x) = (-1)^i and
         chi(x+1) = (-1)^j, and 4 for x in {0, -1}."""
         self._require_tables()
-        codes = (2 * (self._chi == -1) + (np.take(self._chi, self.succ_table) == -1)).astype(np.int8)
+        chi, succ = self._chi, self.succ_table
+        # up to one block the whole-array calls, as in every bulk pass: a
+        # cached table built otherwise lands elsewhere in the heap, and on
+        # fields of q ~ 2e4 that alone made the later passes fault their
+        # temporaries in again (perfbench scan-filter op_p50_s 1.0 -> 1.5 ms)
+        if self.q <= _BUILD_CHUNK:
+            codes = (2 * (chi == -1) + (np.take(chi, succ) == -1)).astype(np.int8)
+        else:
+            # block by block: the int64 sum of the two sign tests stays one block
+            codes = np.empty(self.q, dtype=np.int8)
+            for lo, hi in _blocks(self.q):
+                codes[lo:hi] = 2 * (chi[lo:hi] == -1) + (np.take(chi, succ[lo:hi]) == -1)
         codes[[0, self.minus_one]] = 4
         codes.setflags(write=False)
         return codes
@@ -620,8 +693,14 @@ class FieldSpec:
     def _zech(self) -> np.ndarray:
         # Zech's logarithms Z[k] = log(1 + g^k) for k in [0, q - 1); 1 + g^k
         # is 0 only at k = (q - 1)/2, where g^k = -1, and there Z is -1, the
-        # log table's value at 0
-        z = np.take(self._log, np.take(self.succ_table, self._exp))
+        # log table's value at 0.  Block by block, since take widens each
+        # int32 index array to intp
+        if self.q - 1 <= _BUILD_CHUNK:  # the whole-array calls, as for sij_table
+            z = np.take(self._log, np.take(self.succ_table, self._exp))
+        else:
+            z = np.empty(self.q - 1, dtype=np.int32)
+            for lo, hi in _blocks(self.q - 1):
+                np.take(self._log, np.take(self.succ_table, self._exp[lo:hi]), out=z[lo:hi])
         z.setflags(write=False)
         return z
 
@@ -640,11 +719,11 @@ class FieldSpec:
 
         On F_p any int64 integers are reduced mod q, by _reduce.  On F_{p^n}
         both operands must be canonical, in [0, q), and the sum is taken by
-        Zech's logarithms.
+        Zech's logarithms.  A q-long operand runs in blocks (_blockwise).
         """
         if self.n == 1:
-            return _reduce(np.add(a, b), self.q)
-        return self._zech_sum(a, b, 0)
+            return _blockwise(a, b, self._add_prime, self._add_prime)
+        return _blockwise(a, b, lambda a, b: self._zech_sum(a, b, 0), lambda a, b, out: self._zech_block(a, b, 0, out))
 
     def sub_arrays(self, a, b) -> np.ndarray:
         """Elementwise field subtraction of encoded arrays (either may be a scalar).
@@ -653,13 +732,30 @@ class FieldSpec:
         then in (-q, q), and adding q where it is negative reduces it without
         a division; on F_{p^n} it is a + (-1) * b by Zech's logarithms, with
         -1 = g^((q-1)/2).  Out-of-range operands give wrong results, not
-        errors.
+        errors.  A q-long operand runs in blocks of _sub_into (_blockwise).
         """
         if self.n == 1:
-            d = np.subtract(a, b)
-            d += self.q * (d < 0)
-            return d
-        return self._zech_sum(a, b, (self.q - 1) // 2)
+            return _blockwise(a, b, self._sub_prime, self._sub_into)
+        t = (self.q - 1) // 2
+        return _blockwise(a, b, lambda a, b: self._zech_sum(a, b, t), self._sub_into)
+
+    def _add_prime(self, a, b, out=None) -> np.ndarray:
+        return _reduce(np.add(a, b, out=out), self.q)
+
+    def _sub_prime(self, a, b) -> np.ndarray:
+        d = np.subtract(a, b)
+        d += self.q * (d < 0)
+        return d
+
+    def _sub_into(self, a, b, out: np.ndarray) -> np.ndarray:
+        """a - b into the int64 array out, which may be a itself, for
+        operands of at most one block (b may be a scalar): sub_arrays' block
+        kernel.  On F_p the sign fix-up takes one int32 block of scratch; on
+        F_{p^n} it is _zech_block."""
+        if self.n == 1:
+            np.subtract(a, b, out=out)
+            return _add_q_where_negative(out, self.q, np.empty(out.shape, dtype=np.int32))
+        return self._zech_block(a, b, (self.q - 1) // 2, out)
 
     def _zech_sum(self, a, b, t: int) -> np.ndarray:
         # a + g^t * b.  For a != 0 and c = g^t * b != 0, a + c = c * (1 + a/c),
@@ -683,14 +779,51 @@ class FieldSpec:
         out *= nonzero
         return np.where(lc < t, a, out)
 
-    def mul_arrays(self, a: np.ndarray, b) -> np.ndarray:
-        """Elementwise field product via the discrete-log table."""
+    def _zech_block(self, a: np.ndarray, b: np.ndarray, t: int, out: np.ndarray) -> np.ndarray:
+        """a + g^t * b into the int64 array out, for operands of at most one
+        block (either may be a scalar); a may be out itself, since it is read
+        first.
+
+        The sum of _zech_sum, with no int64 temporary: out holds the Zech
+        index and then the exp index, so take never widens an int32 index.
+        The zero cases become index choices.  The Zech term is 0 where a or
+        b is 0, and where b = 0 the log of c is taken to be log a, so that
+        the sum reads exp[log a] = a.  That leaves a = b = 0 as the one
+        place where this log of c is -1, and the sum is zeroed there as
+        where a + c = 0 (Z = -1).  Its scratch is two int32 logs and a few
+        masks, about 11 bytes an element.
+        """
         self._require_tables()
-        a, b = np.asarray(a), np.asarray(b)
+        la, lc = (np.take(self._log, x) if np.ndim(x) else np.full(out.shape, self._log[x]) for x in (a, b))
+        bzero = lc < 0
+        lc += t
+        np.copyto(lc, la, where=bzero)
+        np.subtract(la, lc, out=out)
+        live = la >= 0
+        live &= ~bzero  # the Zech term counts where a != 0 and b != 0
+        del bzero
+        z = np.take(self._zech, out, mode="wrap", out=la)
+        z *= live
+        del live
+        nonzero = z >= 0
+        nonzero &= lc >= 0
+        np.add(z, lc, out=out)
+        values = np.take(self._exp, out, mode="wrap", out=z)
+        values *= nonzero
+        np.copyto(out, values)
+        return out
+
+    def mul_arrays(self, a: np.ndarray, b) -> np.ndarray:
+        """Elementwise field product via the discrete-log table; a q-long
+        operand runs in blocks (_blockwise)."""
+        self._require_tables()
+        return _blockwise(np.asarray(a), np.asarray(b), self._mul_kernel, self._mul_kernel)
+
+    def _mul_kernel(self, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
         # log(0) = -1 reduces to a valid index of exp; those products are
         # zeroed by the nonzero mask, whose product widens them to int64
-        out = np.take(self._exp, _reduce(np.add(self._log[a], self._log[b]), self.q - 1))
-        return np.multiply(out, (a != 0) & (b != 0), dtype=np.int64)
+        values = np.take(self._exp, _reduce(np.add(self._log[a], self._log[b]), self.q - 1))
+        return np.multiply(values, (a != 0) & (b != 0), dtype=np.int64, out=out)
 
     def power_table(self, e: int, scale: tuple[Elt, Elt] = (1, 1)) -> np.ndarray:
         """Table of x^e * scale[0] on squares and x^e * scale[1] on
@@ -702,10 +835,14 @@ class FieldSpec:
         zeroes that half of the field after the gather, so that half takes
         the other half's s and the parity pass is skipped.  The exponents
         k*e + s pass int32 once q > 46 341, so they are int64, formed in the
-        output's buffer.  Besides the output, the call allocates one q-long
-        int64 scratch array: it holds the parity terms, then the quotient of
-        the reduction mod q - 1 (_reduce), then the gathered int32 values and
-        the zeroing mask, and one pass widens the values into the output.
+        output's buffer.  Up to _BUILD_CHUNK exponents, the call allocates
+        one more q-long int64 array besides the output: it holds the parity
+        terms, then the quotient of the reduction mod q - 1 (_reduce), then
+        the gathered int32 values and the zeroing mask, and one pass widens
+        the values into the output.  Above that the same passes run block by
+        block with an int32 scratch (_spare), and the reduction keeps the low
+        32 bits of the quotient's product only: exps minus it is the residue
+        plus a multiple of 2^32, and the residue is below 2^24.
         """
         if e < 0:
             raise FFBinomError("exponent must be nonnegative")
@@ -716,9 +853,31 @@ class FieldSpec:
         m = self.q - 1
         # s0, s1: the logs of the scales, a zero scale taking the other's log
         s0, s1 = (int(self._log[c or scale[1 - k]]) for k, c in enumerate(scale))
-        logs = self._log[1:]
         out = np.empty(self.q, dtype=np.int64)
         out[0] = scale[0] if e == 0 else 0
+        if m > _BUILD_CHUNK:
+            for lo, hi in _blocks(m):
+                logs = self._log[1 + lo : 1 + hi]
+                exps = np.multiply(logs, e % m, out=out[1 + lo : 1 + hi], dtype=np.int64)
+                if s0:
+                    exps += s0
+                scratch = _spare(out, 1 + hi, hi - lo)
+                if s1 != s0:
+                    parity = np.bitwise_and(logs, 1, out=scratch)
+                    parity *= s1 - s0
+                    exps += parity
+                np.floor_divide(exps, m, out=scratch, casting="unsafe")
+                scratch *= m  # wraps in int32
+                exps -= scratch
+                exps &= 0xFFFFFFFF
+                np.copyto(exps, np.take(self._exp, exps, out=scratch, mode="clip"))
+                for k, c in enumerate(scale):
+                    if c == 0:
+                        keep = np.bitwise_and(logs, 1, out=scratch)
+                        keep ^= k
+                        exps *= keep
+            return out
+        logs = self._log[1:]
         exps = np.multiply(logs, e % m, out=out[1:], dtype=np.int64)
         if s0:
             exps += s0
@@ -763,6 +922,7 @@ class FieldSpec:
         k = len(distinct)
         if k * k <= self.q:
             mult = counts[distinct]
+            del counts  # q-long, like the float accumulator and each bincount below
             exact = np.zeros(self.q)
             rows = max(1, _PAIR_CHUNK // k)
             for lo in range(0, k, rows):

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -417,17 +415,13 @@ def test_beta_row_matches_profile_near_1e5(u):
         assert beta_row(f, spec, b) == int(profile[b]) == pair_key_beta_count(f, spec, 1, b)
 
 
-def test_beta_row_peak_memory_near_1e5():
-    # the keys and the targets, sorted in place, and one searchsorted result
-    # at a time: the traced peak stays below five q-long int64 arrays (the
-    # pair-key count held eight)
+def test_beta_row_peak_memory_near_1e5(peak_arrays):
+    # the keys sorted in place, and the targets and the searchsorted results
+    # of one block at a time: the traced peak stays below five q-long int64
+    # arrays (the pair-key count held eight)
     f = make_field(100003, 1)
     spec = BinomialSpec(5, 7)
     expected = beta_row(f, spec, 1)  # builds any lazy table outside the trace
-    tracemalloc.start()
-    try:
-        assert beta_row(f, spec, 1) == expected
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 5 * 8 * f.q
+    peak, count = peak_arrays(f.q, lambda: beta_row(f, spec, 1))
+    assert count == expected
+    assert peak < 5

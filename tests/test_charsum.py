@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from ffbinom.charsum import gamma, lambda_sum, odd_fn_sum_check, quad_char_sum, weil_envelope
@@ -117,23 +118,38 @@ def test_quad_char_sum_closed_form_sweep(p, n):
     assert degenerate > 0 or f.q > 81
 
 
+def _table(f, fn):
+    return np.array([fn(x) for x in f.elements()], dtype=np.int64)
+
+
 def test_odd_fn_sum_check():
+    # value tables of odd functions on F_11, F_23 and F_{3^3}, and of x^2,
+    # which is even, and its first x with f(-x) != -f(x) is 1
     f11 = make_field(11, 1)
-    assert odd_fn_sum_check(f11, lambda x: f11.mul(x, f11.sub(f11.mul(x, x), 1))) == 0
-    assert odd_fn_sum_check(f11, lambda x: x) == 0
+    assert odd_fn_sum_check(f11, _table(f11, lambda x: f11.mul(x, f11.sub(f11.mul(x, x), 1)))) == 0
+    assert odd_fn_sum_check(f11, np.arange(11)) == 0
     f23 = make_field(23, 1)
-    assert odd_fn_sum_check(f23, lambda x: f23.pow(x, 3)) == 0
+    assert odd_fn_sum_check(f23, f23.power_table(3)) == 0
+    f27 = make_field(3, 3)
+    assert odd_fn_sum_check(f27, f27.power_table(5, (2, 2))) == 0
+    with pytest.raises(NotOddError, match="at x = 1$"):
+        odd_fn_sum_check(f11, f11.power_table(2))
     with pytest.raises(NotOddError):
-        odd_fn_sum_check(f11, lambda x: f11.mul(x, x))
+        odd_fn_sum_check(f27, f27.power_table(2))
     with pytest.raises(WrongResidueError):
-        odd_fn_sum_check(make_field(13, 1), lambda x: x)
+        odd_fn_sum_check(make_field(13, 1), np.arange(13))
+    # a table of the wrong length, with a non-element or of floats
+    for bad in (np.arange(10), np.array([0] * 10 + [11]), np.arange(11.0)):
+        with pytest.raises(FFBinomError, match="values must hold"):
+            odd_fn_sum_check(f11, bad)
 
 
 def test_odd_fn_sum_check_needs_tables():
-    # q = 3 (mod 4) above TABLE_LIMIT, where its scalar loop would not finish
+    # q = 3 (mod 4) above TABLE_LIMIT: "no tables" comes before the value
+    # table is read, so a short one does not get as far as the shape check
     f = FieldSpec(16_777_259, 1)
     with pytest.raises(FFBinomError, match="no tables"):
-        odd_fn_sum_check(f, lambda x: x)
+        odd_fn_sum_check(f, np.arange(3))
 
 
 def test_weil_envelope():
