@@ -110,16 +110,6 @@ def _targets(field: FieldSpec, keys: np.ndarray, b: Elt) -> np.ndarray:
     return targets
 
 
-def _keys_and_targets(field: FieldSpec, spec: BinomialSpec, a: Elt, b: Elt) -> tuple[np.ndarray, np.ndarray]:
-    # the keys and x's target, the key with F(x) - b in place of F(x), which
-    # is built block by block in the value table's buffer
-    fv = eval_table(field, spec)
-    keys = _diff_keys(field, fv, a)
-    for lo, hi in gf._blocks(field.q):
-        fv[lo:hi] = _targets(field, keys[lo:hi], b)
-    return keys, fv
-
-
 def _rank_sums(keys: np.ndarray, queries: np.ndarray, bounds) -> np.ndarray:
     # for each segment queries[lo:hi] between consecutive bounds, the sum
     # over its queries t of #{keys < t}, searched one block of queries at a
@@ -130,6 +120,7 @@ def _rank_sums(keys: np.ndarray, queries: np.ndarray, bounds) -> np.ndarray:
         ranks = np.searchsorted(keys, queries[lo:hi])
         cuts = np.clip(bounds, lo, hi) - lo
         sums += [ranks[start:end].sum() for start, end in zip(cuts[:-1], cuts[1:])]
+        del ranks  # before the next block's are allocated
     return sums
 
 
@@ -336,25 +327,36 @@ def bijkl_counts(field: FieldSpec, spec: BinomialSpec, b: Elt) -> BijklCounts:
     """Solutions of the a = 1 system partitioned by (class(x), class(y)).
 
     The same keys and targets as beta_row, matched by sorted queries, with
-    the targets built block by block in the value table's buffer.  The
-    keys are tagged as key * 5 + y's sij_table code and sorted once.  The
-    targets are tagged with x's code above their 48 key bits, so one sort
-    groups them by the class of x, each class in target order.  Past that
-    tag, the matches of class c of y lie between the queries target * 5 + c
-    and target * 5 + c + 1: six searchsorted passes, one per bound, give
-    every class of y, summed per class of x into a 5 x 5 grid whose row and
-    column 4 are the boundary."""
+    the targets built and tagged block by block in the value table's
+    buffer.  The keys are tagged as key * 5 + y's sij_table code and sorted
+    once.  The targets are tagged with x's code above their 48 key bits, so
+    one sort groups them by the class of x, each class in target order.
+    Past that tag, the matches of class c of y lie between the queries
+    target * 5 + c and target * 5 + c + 1: six searchsorted passes, one per
+    bound, give every class of y, summed per class of x into a 5 x 5 grid
+    whose row and column 4 are the boundary."""
     _check_element(field, "b", b)
     if spec.u not in (1, field.minus_one):
         raise UnsupportedUError("class decomposition requires u = +-1")
     if b == 0:
         raise FFBinomError("b must be nonzero")
-    keys, targets = _keys_and_targets(field, spec, 1, b)
     codes = field.sij_table
+    targets = eval_table(field, spec)
+    keys = _diff_keys(field, targets, 1)
+    for lo, hi in gf._blocks(field.q):
+        # F(x) of the block becomes x's target D << 24 | (F - b) in place,
+        # and then takes x's code above its 48 bits
+        block = targets[lo:hi]
+        field._sub_into(block, b, block)
+        high = np.bitwise_and(keys[lo:hi], ~_LOW)
+        block |= high
+        np.copyto(high, codes[lo:hi])
+        high <<= 2 * _KEY_BITS
+        block |= high
+        del high  # before the next block's scratch is allocated
     keys *= 5
     keys += codes
     keys.sort()
-    targets |= codes.astype(np.int64) << 2 * _KEY_BITS
     targets.sort()
     bounds = np.searchsorted(targets, np.arange(6, dtype=np.int64) << 2 * _KEY_BITS)
     targets &= (1 << 2 * _KEY_BITS) - 1

@@ -39,11 +39,12 @@ they are integer arithmetic on the encodings.
 The block rule: a bulk pass over more than _BUILD_CHUNK (2^16) elements runs
 in blocks of that many and writes each block straight into its one output,
 so it keeps one block of scratch and no q-long quotient, mask or index
-array.  The exponent pass of power_table and the log-domain sums of
-add_arrays, sub_arrays and mul_arrays with a q-long operand (_blockwise)
-follow it, and so do the lazy Zech and class tables.  Up to _BUILD_CHUNK
-elements, which covers every field up to 2^16, the passes are the same
-whole-array numpy calls as before blocking.
+array.  The exponent pass of power_table, add_arrays, sub_arrays and
+mul_arrays with a q-long operand (_blockwise), and the lazy Zech and class
+tables follow it.  Up to _BUILD_CHUNK elements a pass is one call: the F_p
+sums and the products run their block kernel once, while power_table, the
+Zech sum and the lazy tables keep whole-array calls that measured faster
+there, or, for the tables, kept the heap's layout (see sij_table).
 """
 
 from __future__ import annotations
@@ -108,14 +109,17 @@ def _blocks(n: int) -> list[tuple[int, int]]:
     return [(lo, min(n, lo + _BUILD_CHUNK)) for lo in range(0, n, _BUILD_CHUNK)]
 
 
-def _spare(out: np.ndarray, hi: int, size: int) -> np.ndarray:
-    """int32 scratch of `size` entries for a pass that fills the 1-d int64
-    array `out` block by block and is at the block that ends at hi: the
-    bytes of out[hi:], which the pass writes later, where there are enough
-    of them, else a new array.  Only the last block or two allocate, so the
-    pass holds no more than its output and one int32 block."""
-    spare = out[hi:].view(np.int32)
-    return spare[:size] if len(spare) >= size else np.empty(size, dtype=np.int32)
+def _blocks_into(out: np.ndarray):
+    """The blocks (lo, hi) of _blocks(len(out)) for a pass that fills the
+    1-d int64 array out block by block, in ascending order, each with an
+    int32 scratch of hi - lo entries: the bytes of out[hi:], which later
+    blocks overwrite, while there are enough of them, else a new array.
+    Only the last block or two allocate one.  On F_100003 (two blocks) one
+    up-front int32 block instead measured 1.41 q-long arrays of traced peak
+    for power_table and 2.33 for delta_row, against 1.26 and 2.26."""
+    for lo, hi in _blocks(len(out)):
+        tail = out[hi:].view(np.int32)
+        yield lo, hi, tail[: hi - lo] if len(tail) >= hi - lo else np.empty(hi - lo, dtype=np.int32)
 
 
 def _add_q_where_negative(d: np.ndarray, q: int, scratch: np.ndarray) -> np.ndarray:
@@ -127,31 +131,29 @@ def _add_q_where_negative(d: np.ndarray, q: int, scratch: np.ndarray) -> np.ndar
     return d
 
 
-def _long_operand(a, b) -> int:
-    # the length of a 1-d operand longer than _BUILD_CHUNK, when the other
-    # is a scalar or as long; 0 for anything else, whole-array work
-    n = max(np.size(a), np.size(b))
-    if n <= _BUILD_CHUNK or any(np.ndim(x) > 1 or np.ndim(x) == 1 and len(x) != n for x in (a, b)):
-        return 0
-    return n
-
-
-def _blockwise(a, b, whole, block) -> np.ndarray:
-    """A bulk operation of two operands: whole(a, b), or block by block.
-
-    When one operand is 1-d and longer than _BUILD_CHUNK and the other is a
-    scalar or as long, block(a, b, out) runs on their blocks and writes
-    into its block of one int64 output, so its temporaries stay one block
-    long.  Anything else, every operand of a field up to _BUILD_CHUNK
-    elements among them, is one whole(a, b) call.
-    """
-    n = _long_operand(a, b)
-    if not n:
+def _blockwise(a, b, block, whole=None) -> np.ndarray:
+    """A bulk operation of two operands.  When each is a scalar or 1-d of
+    one length above _BUILD_CHUNK, block(a, b, out) runs on their blocks
+    and writes into its block of one new int64 output, so its temporaries
+    stay one block long.  Anything else, operands within one block or that
+    broadcast otherwise (an outer difference, say), is one call:
+    whole(a, b) where it is given, else block(a, b, out) into an output of
+    their broadcast shape.  Two scalars give a scalar."""
+    sa, sb = np.shape(a), np.shape(b)
+    if len(sa) <= 1 and len(sb) <= 1 and (not sa or not sb or sa == sb):
+        shape = sa or sb
+        if shape and shape[0] > _BUILD_CHUNK:
+            out = np.empty(shape, dtype=np.int64)
+            for lo, hi in _blocks(shape[0]):
+                block(a[lo:hi] if sa else a, b[lo:hi] if sb else b, out[lo:hi])
+            return out
+    else:
+        shape = np.broadcast_shapes(sa, sb)
+    if whole is not None:
         return whole(a, b)
-    out = np.empty(n, dtype=np.int64)
-    for lo, hi in _blocks(n):
-        block(a[lo:hi] if np.ndim(a) else a, b[lo:hi] if np.ndim(b) else b, out[lo:hi])
-    return out
+    out = np.empty(shape, dtype=np.int64)
+    block(a, b, out)
+    return out if shape else out[()]
 
 
 def is_prime(m: int) -> bool:
@@ -674,10 +676,11 @@ class FieldSpec:
         chi(x+1) = (-1)^j, and 4 for x in {0, -1}."""
         self._require_tables()
         chi, succ = self._chi, self.succ_table
-        # up to one block the whole-array calls, as in every bulk pass: a
-        # cached table built otherwise lands elsewhere in the heap, and on
-        # fields of q ~ 2e4 that alone made the later passes fault their
-        # temporaries in again (perfbench scan-filter op_p50_s 1.0 -> 1.5 ms)
+        # up to one block the whole-array calls: a cached table built in
+        # blocks lands elsewhere in the heap, and on fields of q ~ 2e4 that
+        # alone made the later passes fault their temporaries in again
+        # (perfbench scan-filter op_p50_s 1.0 -> 1.5 ms, minor faults per
+        # round 600 -> 22 000)
         if self.q <= _BUILD_CHUNK:
             codes = (2 * (chi == -1) + (np.take(chi, succ) == -1)).astype(np.int8)
         else:
@@ -722,8 +725,8 @@ class FieldSpec:
         Zech's logarithms.  A q-long operand runs in blocks (_blockwise).
         """
         if self.n == 1:
-            return _blockwise(a, b, self._add_prime, self._add_prime)
-        return _blockwise(a, b, lambda a, b: self._zech_sum(a, b, 0), lambda a, b, out: self._zech_block(a, b, 0, out))
+            return _blockwise(a, b, self._add_prime)
+        return _blockwise(a, b, lambda a, b, out: self._zech_block(a, b, 0, out), lambda a, b: self._zech_sum(a, b, 0))
 
     def sub_arrays(self, a, b) -> np.ndarray:
         """Elementwise field subtraction of encoded arrays (either may be a scalar).
@@ -735,37 +738,37 @@ class FieldSpec:
         errors.  A q-long operand runs in blocks of _sub_into (_blockwise).
         """
         if self.n == 1:
-            return _blockwise(a, b, self._sub_prime, self._sub_into)
+            return _blockwise(a, b, self._sub_into)
         t = (self.q - 1) // 2
-        return _blockwise(a, b, lambda a, b: self._zech_sum(a, b, t), self._sub_into)
+        return _blockwise(a, b, self._sub_into, lambda a, b: self._zech_sum(a, b, t))
 
-    def _add_prime(self, a, b, out=None) -> np.ndarray:
+    def _add_prime(self, a, b, out: np.ndarray) -> np.ndarray:
         return _reduce(np.add(a, b, out=out), self.q)
 
-    def _sub_prime(self, a, b) -> np.ndarray:
-        d = np.subtract(a, b)
-        d += self.q * (d < 0)
-        return d
-
-    def _sub_into(self, a, b, out: np.ndarray) -> np.ndarray:
-        """a - b into the int64 array out, which may be a itself, for
-        operands of at most one block (b may be a scalar): sub_arrays' block
-        kernel.  On F_p the sign fix-up takes one int32 block of scratch; on
-        F_{p^n} it is _zech_block."""
+    def _sub_into(self, a, b, out: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+        """a - b into the int64 array out, which may be a itself: the block
+        kernel of sub_arrays, for 1-d operands of at most one block (b may
+        be a scalar), and on F_p its kernel at every size.  On F_p the sign
+        fix-up takes an int32 scratch of out's shape, `scratch` where one is
+        given (from _blocks_into), else a new one; on F_{p^n} it is
+        _zech_block."""
         if self.n == 1:
             np.subtract(a, b, out=out)
-            return _add_q_where_negative(out, self.q, np.empty(out.shape, dtype=np.int32))
+            return _add_q_where_negative(out, self.q, np.empty(out.shape, dtype=np.int32) if scratch is None else scratch)
         return self._zech_block(a, b, (self.q - 1) // 2, out)
 
     def _zech_sum(self, a, b, t: int) -> np.ndarray:
-        # a + g^t * b.  For a != 0 and c = g^t * b != 0, a + c = c * (1 + a/c),
+        # a + g^t * b, for operands within one block or of any broadcast
+        # shape.  For a != 0 and c = g^t * b != 0, a + c = c * (1 + a/c),
         # so log(a + c) = log c + Z[log a - log c], where Z = -1 marks
         # a + c = 0.  take's "wrap" mode reduces both indices mod q - 1 by a
         # compare and one add or subtract, not a division.  With a = 0 the
         # Zech term is forced to 0 = log 1, which gives c; with b = 0 the sum
         # is a.  Each zero fix-up is one mask pass and one multiply or select.
         # The logs and z are int32, and their sums stay within +-2^25; a as
-        # an int64 array keeps the result int64 when a is a scalar.
+        # an int64 array keeps the result int64 when a is a scalar.  On
+        # F_{3^7} to F_{3^9}, _zech_block run as one block measured 8-70 %
+        # slower, so this is the sum up to one block
         self._require_tables()
         a = np.asarray(a, dtype=np.int64)
         la = self._log[a]
@@ -779,7 +782,7 @@ class FieldSpec:
         out *= nonzero
         return np.where(lc < t, a, out)
 
-    def _zech_block(self, a: np.ndarray, b: np.ndarray, t: int, out: np.ndarray) -> np.ndarray:
+    def _zech_block(self, a, b, t: int, out: np.ndarray) -> np.ndarray:
         """a + g^t * b into the int64 array out, for operands of at most one
         block (either may be a scalar); a may be out itself, since it is read
         first.
@@ -814,12 +817,12 @@ class FieldSpec:
         return out
 
     def mul_arrays(self, a: np.ndarray, b) -> np.ndarray:
-        """Elementwise field product via the discrete-log table; a q-long
-        operand runs in blocks (_blockwise)."""
+        """Elementwise field product via the discrete-log table, in blocks
+        (_blockwise)."""
         self._require_tables()
-        return _blockwise(np.asarray(a), np.asarray(b), self._mul_kernel, self._mul_kernel)
+        return _blockwise(np.asarray(a), np.asarray(b), self._mul_kernel)
 
-    def _mul_kernel(self, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    def _mul_kernel(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
         # log(0) = -1 reduces to a valid index of exp; those products are
         # zeroed by the nonzero mask, whose product widens them to int64
         values = np.take(self._exp, _reduce(np.add(self._log[a], self._log[b]), self.q - 1))
@@ -835,14 +838,15 @@ class FieldSpec:
         zeroes that half of the field after the gather, so that half takes
         the other half's s and the parity pass is skipped.  The exponents
         k*e + s pass int32 once q > 46 341, so they are int64, formed in the
-        output's buffer.  Up to _BUILD_CHUNK exponents, the call allocates
-        one more q-long int64 array besides the output: it holds the parity
-        terms, then the quotient of the reduction mod q - 1 (_reduce), then
-        the gathered int32 values and the zeroing mask, and one pass widens
-        the values into the output.  Above that the same passes run block by
-        block with an int32 scratch (_spare), and the reduction keeps the low
-        32 bits of the quotient's product only: exps minus it is the residue
-        plus a multiple of 2^32, and the residue is below 2^24.
+        output's buffer.  Besides the output, the call takes one scratch
+        array: it holds the parity terms, then the quotient of the reduction
+        mod q - 1 (_reduce), then the gathered int32 values and the zeroing
+        mask, and one pass widens the values into the output.  Up to
+        _BUILD_CHUNK exponents it is one q-long int64 array.  Above that the
+        passes run block by block (_blocks_into) with an int32 block of
+        scratch, and the reduction keeps the low 32 bits of the quotient's
+        product only: exps minus it is the residue plus a multiple of 2^32,
+        and the residue is below 2^24.
         """
         if e < 0:
             raise FFBinomError("exponent must be nonnegative")
@@ -856,12 +860,11 @@ class FieldSpec:
         out = np.empty(self.q, dtype=np.int64)
         out[0] = scale[0] if e == 0 else 0
         if m > _BUILD_CHUNK:
-            for lo, hi in _blocks(m):
+            for lo, hi, scratch in _blocks_into(out[1:]):
                 logs = self._log[1 + lo : 1 + hi]
                 exps = np.multiply(logs, e % m, out=out[1 + lo : 1 + hi], dtype=np.int64)
                 if s0:
                     exps += s0
-                scratch = _spare(out, 1 + hi, hi - lo)
                 if s1 != s0:
                     parity = np.bitwise_and(logs, 1, out=scratch)
                     parity *= s1 - s0
@@ -870,13 +873,18 @@ class FieldSpec:
                 scratch *= m  # wraps in int32
                 exps -= scratch
                 exps &= 0xFFFFFFFF
+                # mode="clip" lets take write into the int32 scratch unbuffered
                 np.copyto(exps, np.take(self._exp, exps, out=scratch, mode="clip"))
                 for k, c in enumerate(scale):
                     if c == 0:
+                        # keep the half whose log parity is not k
                         keep = np.bitwise_and(logs, 1, out=scratch)
                         keep ^= k
                         exps *= keep
             return out
+        # one block: the same passes with an int64 scratch.  The int32
+        # scratch and its casts, run as one block, measured 8-32 % slower in
+        # 9 of 10 cases (fields of 2e3 to 3e4 elements, two scale kinds)
         logs = self._log[1:]
         exps = np.multiply(logs, e % m, out=out[1:], dtype=np.int64)
         if s0:

@@ -1,9 +1,9 @@
 """The blocked bulk passes at their block edges.
 
 With gf._BUILD_CHUNK shrunk to 7, every array of a small field runs in many
-blocks of the passes that otherwise start above 2^16 elements, and a last
-block of any length: each kernel must equal its whole-array result at the
-real block size (bit for bit) and the naive oracles.  Fields and draws as in
+blocks, and a last block of any length, where at the real block size it is
+one block: each kernel must equal its one-block result (bit for bit) and
+the naive oracles.  Fields and draws as in
 test_properties.py, derandomized and bounded.
 """
 

@@ -11,7 +11,7 @@ and must give the same result under the trace.
 import numpy as np
 import pytest
 
-from ffbinom.boom import beta_row, boom_spectrum
+from ffbinom.boom import beta_row, bijkl_counts, boom_spectrum
 from ffbinom.diff import d00_condition, delta_row
 from ffbinom.family import BinomialSpec, _shift_difference, eval_table
 from ffbinom.gf import make_field
@@ -38,6 +38,9 @@ def _check_peak(peak_arrays, q, fn, bound):
         # the grouped values, the class mask, the pair differences and their
         # histogram (3.14)
         ("boom_spectrum", 2.7),
+        # the keys and the tagged targets, and one block of searchsorted
+        # results or of tags (4.21)
+        ("bijkl_counts", 2.8),
     ],
 )
 def test_prime_field_peaks_near_1e5(peak_arrays, name, bound):
@@ -48,6 +51,7 @@ def test_prime_field_peaks_near_1e5(peak_arrays, name, bound):
         "delta_row": lambda: delta_row(f, spec),
         "beta_row": lambda: beta_row(f, spec, 1),
         "boom_spectrum": lambda: boom_spectrum(f, spec),
+        "bijkl_counts": lambda: bijkl_counts(f, BinomialSpec(5, 1), 1),
     }
     _check_peak(peak_arrays, f.q, calls[name], bound)
 
@@ -64,6 +68,8 @@ def test_prime_field_peaks_near_1e5(peak_arrays, name, bound):
         # with u = 1 the zero-difference class goes to outer_diff_hist,
         # next to the grouped values and the profile (6.58)
         ("boom_spectrum", 4.5),
+        # the keys, the tagged targets and one block of Zech scratch (5.30)
+        ("bijkl_counts", 2.6),
     ],
 )
 def test_extension_field_peaks_3_11(peak_arrays, name, bound):
@@ -75,5 +81,6 @@ def test_extension_field_peaks_3_11(peak_arrays, name, bound):
         "d00_condition": lambda: d00_condition(f, 2),
         "beta_row": lambda: beta_row(f, spec, 1),
         "boom_spectrum": lambda: boom_spectrum(f, spec),
+        "bijkl_counts": lambda: bijkl_counts(f, spec, 1),
     }
     _check_peak(peak_arrays, f.q, calls[name], bound)
