@@ -1,44 +1,33 @@
 """Boomerang analysis of the binomial family.
 
 Every count here starts from one int64 key per x, D(x) << 24 | F(x) with
-D(x) = F(x+a) - F(x), and one builder, _diff_keys, makes them.  A pair
-(x, y) solves F(x) - F(y) = b, F(x+a) - F(y+a) = b iff D(x) = D(y) and
+D(x) = F(x+a) - F(x), the shift row of FieldSpec.shift_difference, and one
+builder, _diff_keys, makes them in the row's own buffer.  A pair (x, y)
+solves F(x) - F(y) = b, F(x+a) - F(y+a) = b iff D(x) = D(y) and
 F(y) = F(x) - b, that is iff y's key equals x's target
 D(x) << 24 | (F(x) - b).  beta_row and beta_ab sort the keys in place and
 count the equal pairs by searchsorted, with no np.unique and no scattered
 queries.  A target is a function of its key alone, so they take the
-targets from the sorted keys one block of gf._BUILD_CHUNK at a time, and
-no q-long target array exists.  bijkl_counts needs each target next to
-the class of its x: it builds them block by block in the value table's
+targets from the sorted keys one block at a time, and no q-long target
+array exists.  bijkl_counts needs each target next to the class of x
+(FieldSpec.sij_table): it builds them block by block in the value table's
 buffer, sorts them and searches them one block at a time.
 
 beta_profile sorts the keys alone, which groups x by D(x) and turns the
-whole b-profile into per-group pair-difference histograms.  Small groups are
-histogrammed pair by pair, over unordered pairs only, each difference binned
-together with its negation.  Large groups go to FieldSpec.outer_diff_hist,
-whose cost follows their distinct values: the group of x with zero
-difference has about (q+1)/4 members for locally-APN inputs, but with
-u = +-1 only one or two distinct values, and is histogrammed over those
-values' pairs; only a group with more than sqrt(q) distinct values pays for
-an FFT autocorrelation over the additive group, in O(q log q).
+whole b-profile into per-group pair-difference histograms; the sorted
+differences go back into the value table's buffer.  Small groups go
+together to FieldSpec.run_diff_hist, which forms their pairs.  Large groups
+go one by one to FieldSpec.outer_diff_hist, whose cost follows their
+distinct values: the group of x with zero difference has about (q+1)/4
+members for locally-APN inputs, but with u = +-1 only one or two distinct
+values.  Shifts a and targets b are checked to be elements of [0, q) on
+entry, as u is.
 
-The shift-differences come from family._shift_difference.  On F_p the
-shift x -> x + a is a rotation of the value table, so the row is two slice
-differences of canonical elements written into one array, reduced in place
-by a floor division (numpy's remainder by a scalar is several times slower).
-The prime-field path is written to allocate few q-long temporaries: the
-sort keys are packed in the row's own buffer, the sorted differences go
-back into the value table's, the first bincount of the pair kernel is its
-accumulator, and the negation fold adds the two halves of that histogram to
-each other in place.  On F_{p^n} every difference is taken in the log
-domain by FieldSpec.sub_arrays, through Zech's logarithms.  Shifts a and
-targets b are checked to be elements of [0, q) on entry, as u is.
-bijkl_counts reads the classes of x and y from FieldSpec.sij_table.
-
-The block rule of gf holds here too: no count holds more than about two
-live q-long arrays (the value table and the keys, or the keys and the
-targets) plus one block of scratch, and beta_profile drops every per-class
-array before its pair kernel runs.
+No count holds more than about two live q-long arrays (the value table and
+the keys, or the keys and the targets) plus one block of scratch.  For that
+this module uses two internals of gf: gf._blocks cuts its searchsorted
+passes into blocks, and FieldSpec._sub_into forms F - b in place, where
+sub_arrays would hold one more block.
 """
 
 from __future__ import annotations
@@ -48,9 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf
-from .errors import FFBinomError, InvariantError, UnsupportedUError, ZeroShiftError
-from .family import BinomialSpec, _check_element, _shift_difference, eval_table
-from .gf import _PAIR_CHUNK, TABLE_LIMIT, Elt, FieldSpec
+from .errors import FFBinomError, InvariantError, UnsupportedUError
+from .family import BinomialSpec, _check_element, _check_shift, eval_table
+from .gf import TABLE_LIMIT, Elt, FieldSpec
 
 _BIJKL_KEYS = tuple(f"{i}{j}{k}{l}" for i in "01" for j in "01" for k in "01" for l in "01")
 
@@ -95,7 +84,7 @@ def _diff_keys(field: FieldSpec, fv: np.ndarray, a: Elt) -> np.ndarray:
     """The int64 keys D(x) << 24 | F(x), with D(x) = F(x+a) - F(x), given
     fv[x] = F(x): the one key format of every boomerang count.  They are
     built in the shift-difference array, a new one that the caller owns."""
-    keys = _shift_difference(field, fv, a)
+    keys = field.shift_difference(fv, a)
     keys <<= _KEY_BITS
     keys |= fv
     return keys
@@ -157,7 +146,7 @@ def beta_profile(field: FieldSpec, spec: BinomialSpec, a: Elt = 1) -> np.ndarray
     d(x) << 24 | F(x) from _diff_keys lists the values F(x) class by class,
     and a shift and a mask split them again; nothing depends on the order
     inside a class.  Classes with s*s <= q go together to the pair kernel
-    `_within_row_diff_hist`, at O(s^2) per class: it forms only the s(s-1)/2
+    `FieldSpec.run_diff_hist`, at O(s^2) per class: it forms only the s(s-1)/2
     unordered pairs and bins each difference together with its negation,
     and finds the runs from the same mask of equal neighbouring differences
     that splits the classes (u outside {0, +-1} with a small r has no other
@@ -178,9 +167,7 @@ def beta_profile(field: FieldSpec, spec: BinomialSpec, a: Elt = 1) -> np.ndarray
     mask is cleared, so the pair kernel sees them as singletons, and their
     zero differences, which it counts for every value, are taken off again.
     """
-    _check_element(field, "a", a)
-    if a == 0:
-        raise ZeroShiftError("a must be nonzero")
+    _check_shift(field, a)
     q = field.q
     fv = eval_table(field, spec)
     keys = _diff_keys(field, fv, a)
@@ -212,95 +199,13 @@ def beta_profile(field: FieldSpec, spec: BinomialSpec, a: Elt = 1) -> np.ndarray
         # the pair kernel sees a large class as singletons: it forms none of
         # its pairs, and outer_diff_hist counts its zero differences
         same[start:end] = False
-    profile = _within_row_diff_hist(field, grouped, same)
+    profile = field.run_diff_hist(grouped, same)
     for start, end in large:
         profile[0] -= end - start
         profile += field.outer_diff_hist(grouped[start:end])
     if int(profile.sum()) != pairs:
         raise InvariantError(f"boomerang profile sums to {int(profile.sum())}, not {pairs} = sum of squared class sizes")
     return profile
-
-
-def _within_row_diff_hist(field: FieldSpec, values: np.ndarray, same: np.ndarray) -> np.ndarray:
-    """Histogram of v_i - v_j over all ordered pairs (i, j) inside each run.
-
-    `values` holds runs back to back, and same[x] tells whether positions x
-    and x + 1 lie in one run (so same[-1] is False).  Only the pairs i < j
-    are formed, and one of each pair's two differences is binned: the other
-    is its negation, so the histogram is h(b) + h(-b), plus one zero
-    difference per value for i = j.  The first bincount is the accumulator.
-    On F_p, -b is q - b, and the fold adds the two halves of h to each other
-    in place.
-    """
-    q, n = field.q, field.n
-    half = None
-    for diffs in _pooled(_offset_pair_diffs(field, values, same), _PAIR_CHUNK):
-        counts = np.bincount(diffs, minlength=q)
-        if half is None:
-            half = counts
-        else:
-            half += counts
-    if half is None:
-        half = np.zeros(q, dtype=np.int64)
-    if n == 1:
-        # b in [1, h) pairs with q - b in [h, q): the two slices do not
-        # overlap, so numpy adds them without copying either
-        h = (q + 1) // 2
-        low, high = half[1:h], half[: h - 1 : -1]
-        low += high
-        high[...] = low
-        half[0] *= 2
-        hist = half
-    else:
-        # -b negates every base-p digit: j -> (p - j) % p along each axis of
-        # the (p,)*n reshape, which is a flip followed by a shift by one
-        hist = np.roll(np.flip(half.reshape((field.p,) * n)), 1, axis=tuple(range(n))).ravel()
-        hist += half
-    hist[0] += len(values)
-    return hist
-
-
-def _offset_pair_diffs(field: FieldSpec, values: np.ndarray, same: np.ndarray):
-    # the pairs (i, i + t) inside a run, for t = 1, 2, ...: a run of size s
-    # has s - t of them, and i stays while i + t + 1 is still in its run.
-    # values[i] is gathered once and compressed with the positions j = i + t,
-    # which move on in place.  Yielded in pieces of at most _PAIR_CHUNK
-    # differences
-    j = np.flatnonzero(same)
-    vi = values[j]
-    j += 1
-    while len(j):
-        for lo in range(0, len(j), _PAIR_CHUNK):
-            a, b = vi[lo : lo + _PAIR_CHUNK], values[j[lo : lo + _PAIR_CHUNK]]
-            if field.n == 1:
-                # |b - a| is b - a or a - b, each in [0, q)
-                b -= a
-                yield np.abs(b, out=b)
-            else:
-                yield field.sub_arrays(b, a)
-        # an index gather, not a boolean-mask selection: the mask is
-        # irregular, and numpy selects by it several times slower
-        stay = np.flatnonzero(same[j])
-        j = j[stay]
-        j += 1
-        vi = vi[stay]
-
-
-def _pooled(pieces, size: int):
-    # concatenations of consecutive pieces, each of about `size` entries;
-    # the pieces are dropped before their concatenation is yielded
-    pending, pooled = [], 0
-    for piece in pieces:
-        pending.append(piece)
-        pooled += len(piece)
-        if pooled >= size:
-            joined = np.concatenate(pending)
-            pending, pooled = [], 0
-            yield joined
-    if pending:
-        joined = np.concatenate(pending)
-        del pending
-        yield joined
 
 
 def boom_spectrum(field: FieldSpec, spec: BinomialSpec) -> BoomSpectrum:
@@ -316,10 +221,8 @@ def boom_spectrum(field: FieldSpec, spec: BinomialSpec) -> BoomSpectrum:
 def beta_ab(field: FieldSpec, spec: BinomialSpec, a: Elt, b: Elt) -> int:
     """Solutions of F(x)-F(y) = b, F(x+a)-F(y+a) = b, for a != 0: beta_row's
     sorted keys and their targets, with D(x) = F(x+a) - F(x)."""
-    _check_element(field, "a", a)
+    _check_shift(field, a)
     _check_element(field, "b", b)
-    if a == 0:
-        raise ZeroShiftError("a must be nonzero")
     return _beta_count(field, spec, a, b)
 
 

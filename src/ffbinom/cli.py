@@ -35,13 +35,6 @@ def _field_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, default=1, help="extension degree (default 1)")
 
 
-def _get_field(parser: argparse.ArgumentParser, args: argparse.Namespace):
-    try:
-        return make_field(args.p, args.n)
-    except FFBinomError as exc:
-        parser.error(str(exc))
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="ffbinom")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -101,7 +94,7 @@ def build_parser() -> _Parser:
 
 
 def _cmd_field_info(parser, args) -> int:
-    fld = _get_field(parser, args)
+    fld = make_field(args.p, args.n)
     _print_json(
         {
             "p": fld.p,
@@ -115,7 +108,7 @@ def _cmd_field_info(parser, args) -> int:
 
 
 def _cmd_families(parser, args) -> int:
-    fld = _get_field(parser, args)
+    fld = make_field(args.p, args.n)
     _print_json(
         [
             {"name": f.name, "k": f.k, "r": f.r, "gcd": f.gcd_order}
@@ -126,19 +119,13 @@ def _cmd_families(parser, args) -> int:
 
 
 def _cmd_spectrum(parser, args) -> int:
-    fld = _get_field(parser, args)
-    try:
-        spec = BinomialSpec(args.r, args.u % fld.p if args.u < 0 else args.u)
-        if args.kind == "diff":
-            # the spectrum and the locally-APN flags read the same row
-            row = diff.delta_row(fld, spec)
-            spectrum = diff._row_spectrum(fld, row)
-            report = diff._row_locally_apn(fld, row)
-        else:
-            spectrum = boom.boom_spectrum(fld, spec)
-    except FFBinomError as exc:
-        parser.error(str(exc))
+    fld = make_field(args.p, args.n)
+    spec = BinomialSpec(args.r, args.u % fld.p if args.u < 0 else args.u)
     if args.kind == "diff":
+        # the spectrum and the locally-APN flags read the same row
+        row = diff.delta_row(fld, spec)
+        spectrum = diff._row_spectrum(fld, row)
+        report = diff._row_locally_apn(fld, row)
         _print_json(
             {
                 "q": fld.q,
@@ -151,6 +138,7 @@ def _cmd_spectrum(parser, args) -> int:
             }
         )
     else:
+        spectrum = boom.boom_spectrum(fld, spec)
         _print_json(
             {
                 "q": fld.q,
@@ -163,11 +151,8 @@ def _cmd_spectrum(parser, args) -> int:
 
 
 def _cmd_charsum(parser, args) -> int:
-    fld = _get_field(parser, args)
-    try:
-        res = charsum.gamma(fld) if args.which_sum == "gamma" else charsum.lambda_sum(fld)
-    except FFBinomError as exc:
-        parser.error(str(exc))
+    fld = make_field(args.p, args.n)
+    res = charsum.gamma(fld) if args.which_sum == "gamma" else charsum.lambda_sum(fld)
     _print_json(
         {
             "q": fld.q,
@@ -186,30 +171,24 @@ def _cmd_verify(parser, args) -> int:
     elif args.p is None:
         parser.error("verify needs --p/--n or --qmax")
     else:
-        fields, r = [_get_field(parser, args)], args.r
+        fields, r = [make_field(args.p, args.n)], args.r
     reports = []
-    try:
-        for fld in fields:
-            # du without an exponent runs every special exponent of the field
-            if args.theorem == "du" and r is None:
-                rs = [fam.r for fam in family.table1_exponents(fld)]
-            else:
-                rs = [r]
-            reports += [predict.verify(fld, args.theorem, ri) for ri in rs]
-    except FFBinomError as exc:
-        parser.error(str(exc))
+    for fld in fields:
+        # du without an exponent runs every special exponent of the field
+        if args.theorem == "du" and r is None:
+            rs = [fam.r for fam in family.table1_exponents(fld)]
+        else:
+            rs = [r]
+        reports += [predict.verify(fld, args.theorem, ri) for ri in rs]
     _print_json([rep.to_dict() for rep in reports])
     return 0 if all(rep.match for rep in reports) else 2
 
 
 def _cmd_scan(parser, args) -> int:
-    fld = _get_field(parser, args)
+    fld = make_field(args.p, args.n)
     rmax = args.rmax if args.rmax is not None else fld.q - 2
     jobs = args.jobs if args.jobs is not None else scan.default_jobs()
-    try:
-        results = scan.scan_exponents(fld, args.rmin, rmax, jobs=jobs)
-    except FFBinomError as exc:
-        parser.error(str(exc))
+    results = scan.scan_exponents(fld, args.rmin, rmax, jobs=jobs)
     if args.out:
         scan.write_jsonl(results, args.out)
     else:
@@ -241,7 +220,11 @@ def _cmd_tables(parser, args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(parser, args)
+    # every toolkit error, from any command, is a usage error: exit 1
+    try:
+        return args.func(parser, args)
+    except FFBinomError as exc:
+        parser.error(str(exc))
 
 
 def entry() -> None:

@@ -3,7 +3,7 @@
 Everything is organized around the a = 1 difference row: delta(a, b) for
 general a reduces to a row lookup through the permutations b -> b/a^r and
 b -> b/((-1)^(r+1) a^r) when q = 3 (mod 4), so the full (a, b) table is
-never materialized.  Rows come from family._shift_difference and splits
+never materialized.  Rows come from FieldSpec.shift_difference and splits
 by the class of x from FieldSpec.sij_table.
 """
 
@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantError, UnsupportedUError, ZeroShiftError
-from .family import BinomialSpec, _check_element, _shift_difference, eval_table
+from .errors import InvariantError, UnsupportedUError
+from .family import BinomialSpec, _check_element, _check_shift, eval_table
 from .gf import Elt, FieldSpec
 
 
@@ -64,16 +64,14 @@ class CollisionReport:
 
 def delta_row(field: FieldSpec, spec: BinomialSpec) -> np.ndarray:
     """Histogram of F(x+1) - F(x) over all x; entry b is delta(1, b)."""
-    return np.bincount(_shift_difference(field, eval_table(field, spec)), minlength=field.q)
+    return np.bincount(field.shift_difference(eval_table(field, spec)), minlength=field.q)
 
 
 def delta_ab(field: FieldSpec, spec: BinomialSpec, a: Elt, b: Elt) -> int:
     """Number of x with F(x+a) - F(x) = b, for a != 0."""
-    _check_element(field, "a", a)
+    _check_shift(field, a)
     _check_element(field, "b", b)
-    if a == 0:
-        raise ZeroShiftError("a must be nonzero")
-    return int(np.count_nonzero(_shift_difference(field, eval_table(field, spec), a) == b))
+    return int(np.count_nonzero(field.shift_difference(eval_table(field, spec), a) == b))
 
 
 def diff_spectrum(field: FieldSpec, spec: BinomialSpec) -> DiffSpectrum:
@@ -96,7 +94,7 @@ def dij_counts(field: FieldSpec, spec: BinomialSpec, b: Elt) -> DijCounts:
     _check_element(field, "b", b)
     if spec.u not in (1, field.minus_one):
         raise UnsupportedUError("class decomposition requires u = +-1")
-    sol = _shift_difference(field, eval_table(field, spec)) == b
+    sol = field.shift_difference(eval_table(field, spec)) == b
     return DijCounts(*map(int, np.bincount(field.sij_table[sol], minlength=5)))
 
 
@@ -124,7 +122,7 @@ def d00_condition(field: FieldSpec, r: int) -> CollisionReport:
     The difference is formed on the whole field and read on S00 (sij_table
     code 0); a failure's witness is the smallest such c and its two smallest x.
     """
-    g = _shift_difference(field, field.power_table(r))
+    g = field.shift_difference(field.power_table(r))
     # index gathers, not boolean-mask selections: S00 and the nonzero
     # differences are irregular masks, by which numpy selects several times
     # slower; s00 is ascending, so the witness x are the two smallest

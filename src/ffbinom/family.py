@@ -6,10 +6,6 @@ while 0^r stays 0.
 
 Its value table is FieldSpec.power_table(r) scaled by 1 + u on squares and
 1 - u on non-squares; this module reads no field table itself.
-
-The shift-difference row follows gf's block rule: above gf._BUILD_CHUNK
-elements it is formed block by block in its own array, so it holds the
-value table, the row and one block of scratch.
 """
 
 from __future__ import annotations
@@ -19,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gf
-from .errors import FFBinomError
-from .gf import Elt, FieldSpec, _reduce
+from .errors import FFBinomError, ZeroShiftError
+from .gf import Elt, FieldSpec
 
 
 @dataclass(frozen=True)
@@ -63,6 +58,13 @@ def _check_element(field: FieldSpec, name: str, x: Elt) -> None:
         raise FFBinomError(f"{name} = {x} is not an element of F_{field.q}")
 
 
+def _check_shift(field: FieldSpec, a: Elt) -> None:
+    # a shift a of F(x + a) - F(x): an element, and nonzero
+    _check_element(field, "a", a)
+    if a == 0:
+        raise ZeroShiftError("a must be nonzero")
+
+
 def evaluate(field: FieldSpec, spec: BinomialSpec, x: Elt) -> Elt:
     """Value of x^r * (1 + u*chi(x)), with 0 mapping to 0."""
     _check_element(field, "u", spec.u)
@@ -79,60 +81,6 @@ def eval_table(field: FieldSpec, spec: BinomialSpec) -> np.ndarray:
     non-squares (FieldSpec.power_table); 0 maps to 0."""
     _check_element(field, "u", spec.u)
     return field.power_table(spec.r, (field.add(1, spec.u), field.sub(1, spec.u)))
-
-
-def _shifted(field: FieldSpec, values: np.ndarray, a: Elt) -> np.ndarray:
-    # F(x + a) for every x; on F_p, x + a is a rotation of the index by a
-    if field.n == 1:
-        return np.roll(values, -a)
-    if a == 1:
-        return np.take(values, field.succ_table)
-    return values[field.add_arrays(np.arange(field.q, dtype=np.int64), a)]
-
-
-def _shift_difference(field: FieldSpec, values: np.ndarray, a: Elt = 1) -> np.ndarray:
-    """F(x + a) - F(x) for every x, given values[x] = F(x): the one place
-    the difference rows, the boomerang grouping and the S00 collision filter
-    form it.  The result is a new array that the caller owns.
-
-    On F_p, x + a is x + a - q from x = q - a on, so the row is two slice
-    differences written into one array, each in (-q, q), and then reduced:
-    no rotated copy of the values.  On F_{p^n} it is a gather and a
-    Zech-logarithm subtraction.  Up to gf._BUILD_CHUNK elements these are
-    whole-array passes, the reduction a division (gf._reduce).
-
-    Above that the row follows gf's block rule: it is formed block by block
-    in the result, and nothing else q-long is allocated.  On F_p the two
-    slice differences of a block are each taken and reduced by
-    FieldSpec._sub_into in the block's int32 scratch from gf._blocks_into;
-    on F_{p^n} a block gathers F(x + a) into its part of the result, which
-    the Zech subtraction of _sub_into then overwrites.
-    """
-    q = field.q
-    if q <= gf._BUILD_CHUNK:
-        # one block: run as one block, the gather and _sub_into measured
-        # 8-37 % slower than this Zech sum on F_{3^7} to F_{3^9}, and the
-        # int32 sign fix-up 4-17 % slower than this division on F_20011 and
-        # F_30011
-        if field.n > 1:
-            return field.sub_arrays(_shifted(field, values, a), values)
-        d = np.empty(q, dtype=np.int64)
-        np.subtract(values[a:], values[: q - a], out=d[: q - a])
-        np.subtract(values[:a], values[q - a :], out=d[q - a :])
-        return _reduce(d, q)
-    d = np.empty(q, dtype=np.int64)
-    if field.n > 1:
-        for lo, hi in gf._blocks(q):
-            block = d[lo:hi]
-            index = field.succ_table[lo:hi] if a == 1 else field.add_arrays(np.arange(lo, hi, dtype=np.int64), a)
-            np.take(values, index, out=block, mode="clip")  # "raise" would buffer out
-            field._sub_into(block, values[lo:hi], block)
-        return d
-    for lo, hi, scratch in gf._blocks_into(d):
-        mid = min(max(q - a, lo), hi)  # x + a wraps from x = q - a on
-        field._sub_into(values[lo + a : mid + a], values[lo:mid], d[lo:mid], scratch[: mid - lo])
-        field._sub_into(values[mid + a - q : hi + a - q], values[mid:hi], d[mid:hi], scratch[mid - lo :])
-    return d
 
 
 def table1_exponents(field: FieldSpec) -> list[ExponentFamily]:

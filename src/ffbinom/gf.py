@@ -36,15 +36,28 @@ Zech's logarithms Z[k] = log(1 + g^k), one q-long table (K. Huber, "Some
 comments on Zech's logarithms", IEEE Trans. Inf. Theory 36, 1990); on F_p
 they are integer arithmetic on the encodings.
 
+Every bulk difference of field elements is formed here, so no other module
+knows the encoding.  shift_difference gives the shift row F(x + a) - F(x)
+of a value table: on F_p two slice differences of the table, since x + a
+rotates the index, and on F_{p^n} a gather and a Zech subtraction.  Two
+kernels histogram pair differences: run_diff_hist over the pairs inside
+runs of an array (the boomerang profile's small classes) and
+outer_diff_hist over all pairs of one array (its large classes).  Both bin
+with bincount, the first bincount being the accumulator.  run_diff_hist
+forms only the pairs i < j and folds the histogram onto its negation, on
+F_p as b -> q - b and on F_{p^n} by negating every base-p digit.
+
 The block rule: a bulk pass over more than _BUILD_CHUNK (2^16) elements runs
 in blocks of that many and writes each block straight into its one output,
 so it keeps one block of scratch and no q-long quotient, mask or index
 array.  The exponent pass of power_table, add_arrays, sub_arrays and
-mul_arrays with a q-long operand (_blockwise), and the lazy Zech and class
-tables follow it.  Up to _BUILD_CHUNK elements a pass is one call: the F_p
-sums and the products run their block kernel once, while power_table, the
-Zech sum and the lazy tables keep whole-array calls that measured faster
-there, or, for the tables, kept the heap's layout (see sij_table).
+mul_arrays with a q-long operand (_blockwise), shift_difference, and the
+lazy Zech and class tables follow it.  Up to _BUILD_CHUNK elements a pass
+is one call: the F_p sums and the products run their block kernel once,
+while power_table, shift_difference, the Zech sum and the lazy tables keep
+whole-array calls that measured faster there, or, for the tables, kept the
+heap's layout (see sij_table).  The pair kernels bin about _PAIR_CHUNK
+differences per bincount.
 """
 
 from __future__ import annotations
@@ -78,8 +91,8 @@ def no_tables(q: int) -> FFBinomError:
 _BUILD_CHUNK = 1 << 16
 
 # Differences per pass of the pair-difference kernels (outer_diff_hist and
-# the boomerang small-class kernel), which bounds their temporaries: on
-# F_{p^n} a difference takes a few int64 words of Zech-logarithm scratch.
+# run_diff_hist), which bounds their temporaries: on F_{p^n} a difference
+# takes a few int64 words of Zech-logarithm scratch.
 _PAIR_CHUNK = 1 << 20
 
 _MAX_ORDER = 1 << 63
@@ -154,6 +167,36 @@ def _blockwise(a, b, block, whole=None) -> np.ndarray:
     out = np.empty(shape, dtype=np.int64)
     block(a, b, out)
     return out if shape else out[()]
+
+
+def _pooled(pieces, size: int):
+    # concatenations of consecutive pieces, each of about `size` entries;
+    # the pieces are dropped before their concatenation is yielded
+    pending, pooled = [], 0
+    for piece in pieces:
+        pending.append(piece)
+        pooled += len(piece)
+        if pooled >= size:
+            joined = np.concatenate(pending)
+            pending, pooled = [], 0
+            yield joined
+    if pending:
+        joined = np.concatenate(pending)
+        del pending
+        yield joined
+
+
+def _summed(histograms):
+    # the sum of q-long histograms, the first one the accumulator, each
+    # dropped once added, so at most two are live; None for none
+    total = None
+    for hist in histograms:
+        if total is None:
+            total = hist
+        else:
+            total += hist
+        del hist
+    return total
 
 
 def is_prime(m: int) -> bool:
@@ -907,20 +950,125 @@ class FieldSpec:
         np.copyto(exps, values)
         return out
 
+    def shift_difference(self, values: np.ndarray, a: Elt = 1) -> np.ndarray:
+        """The shift row F(x + a) - F(x) for every x, given values[x] = F(x):
+        the one place the difference rows, the boomerang keys and the S00
+        collision filter form it.  The result is a new int64 array that the
+        caller owns.
+
+        On F_p, x + a is x + a - q from x = q - a on, so the row is two slice
+        differences written into one array, each in (-q, q), and then
+        reduced: no rotated copy of the values.  On F_{p^n} it is a gather of
+        F(x + a), through succ_table for a = 1, and a Zech-logarithm
+        subtraction.  Up to _BUILD_CHUNK elements these are whole-array
+        passes, the F_p reduction a division (_reduce).  Above that the row
+        follows the block rule: it is formed block by block in the result.
+        On F_p the two slice differences of a block are each taken and
+        reduced by _sub_into in the block's int32 scratch from _blocks_into;
+        on F_{p^n} a block gathers F(x + a) into its part of the result,
+        which the Zech subtraction of _sub_into then overwrites.
+        """
+        q = self.q
+        if q <= _BUILD_CHUNK:
+            # one block: run as one block, the gather and _sub_into measured
+            # 8-37 % slower than this Zech sum on F_{3^7} to F_{3^9}, and the
+            # int32 sign fix-up 4-17 % slower than this division on F_20011 and
+            # F_30011
+            if self.n > 1:
+                shifted = np.take(values, self.succ_table) if a == 1 else values[self.add_arrays(np.arange(q, dtype=np.int64), a)]
+                return self.sub_arrays(shifted, values)
+            d = np.empty(q, dtype=np.int64)
+            np.subtract(values[a:], values[: q - a], out=d[: q - a])
+            np.subtract(values[:a], values[q - a :], out=d[q - a :])
+            return _reduce(d, q)
+        d = np.empty(q, dtype=np.int64)
+        if self.n > 1:
+            for lo, hi in _blocks(q):
+                block = d[lo:hi]
+                index = self.succ_table[lo:hi] if a == 1 else self.add_arrays(np.arange(lo, hi, dtype=np.int64), a)
+                np.take(values, index, out=block, mode="clip")  # "raise" would buffer out
+                self._sub_into(block, values[lo:hi], block)
+            return d
+        for lo, hi, scratch in _blocks_into(d):
+            mid = min(max(q - a, lo), hi)  # x + a wraps from x = q - a on
+            self._sub_into(values[lo + a : mid + a], values[lo:mid], d[lo:mid], scratch[: mid - lo])
+            self._sub_into(values[mid + a - q : hi + a - q], values[mid:hi], d[mid:hi], scratch[mid - lo :])
+        return d
+
+    def run_diff_hist(self, values: np.ndarray, same: np.ndarray) -> np.ndarray:
+        """Histogram of v_i - v_j over all ordered pairs (i, j) inside each
+        run of an encoded array, as a length-q count array.
+
+        `values` holds runs back to back, and same[x] tells whether positions
+        x and x + 1 lie in one run (so same[-1] is False).  Only the pairs
+        i < j are formed (_run_pair_diffs), and one of each pair's two
+        differences is binned: the other is its negation, so the histogram is
+        h(b) + h(-b), plus one zero difference per value for i = j.  The
+        first bincount is the accumulator.  On F_p, -b is q - b, and the fold
+        adds the two halves of h to each other in place.
+        """
+        q, n = self.q, self.n
+        pieces = _pooled(self._run_pair_diffs(values, same), _PAIR_CHUNK)
+        half = _summed(np.bincount(diffs, minlength=q) for diffs in pieces)
+        if half is None:
+            half = np.zeros(q, dtype=np.int64)
+        if n == 1:
+            # b in [1, h) pairs with q - b in [h, q): the two slices do not
+            # overlap, so numpy adds them without copying either
+            h = (q + 1) // 2
+            low, high = half[1:h], half[: h - 1 : -1]
+            low += high
+            high[...] = low
+            half[0] *= 2
+            hist = half
+        else:
+            # -b negates every base-p digit: j -> (p - j) % p along each axis of
+            # the (p,)*n reshape, which is a flip followed by a shift by one
+            hist = np.roll(np.flip(half.reshape((self.p,) * n)), 1, axis=tuple(range(n))).ravel()
+            hist += half
+        hist[0] += len(values)
+        return hist
+
+    def _run_pair_diffs(self, values: np.ndarray, same: np.ndarray):
+        # the pairs (i, i + t) inside a run, for t = 1, 2, ...: a run of size s
+        # has s - t of them, and i stays while i + t + 1 is still in its run.
+        # values[i] is gathered once and compressed with the positions j = i + t,
+        # which move on in place.  Yielded in pieces of at most _PAIR_CHUNK
+        # differences
+        j = np.flatnonzero(same)
+        vi = values[j]
+        j += 1
+        while len(j):
+            for lo in range(0, len(j), _PAIR_CHUNK):
+                a, b = vi[lo : lo + _PAIR_CHUNK], values[j[lo : lo + _PAIR_CHUNK]]
+                if self.n == 1:
+                    # |b - a| is b - a or a - b, each in [0, q)
+                    b -= a
+                    yield np.abs(b, out=b)
+                else:
+                    yield self.sub_arrays(b, a)
+            # an index gather, not a boolean-mask selection: the mask is
+            # irregular, and numpy selects by it several times slower
+            stay = np.flatnonzero(same[j])
+            j = j[stay]
+            j += 1
+            vi = vi[stay]
+
     def outer_diff_hist(self, values: np.ndarray) -> np.ndarray:
         """Histogram of v_i - v_j over all ordered pairs of an encoded array.
 
         Returns a length-q count array indexed by the encoded difference.
         With k distinct values of multiplicities m, a k*k <= q input is
         histogrammed over its k^2 ordered pairs of distinct values, each
-        difference weighted by m_i * m_j; float64 weights are exact, since no
-        bin exceeds len(values)**2 <= q^2 < 2^53.  Otherwise the histogram is
-        the autocorrelation of the multiplicity array on the additive group
-        (Z/p)^n, by FFT in O(q log q): in C order the base-p encoding is
-        exactly an array of shape (p,)*n, on which field addition is a cyclic
-        shift per axis, and a bin off an integer by more than 0.25 raises
-        InvariantError.  On either path a total other than len(values)**2
-        raises InvariantError.
+        difference weighted by m_i * m_j.  The first float64 bincount is the
+        accumulator, converted to int64 in its own buffer; float64 weights
+        are exact, since no bin exceeds len(values)**2 <= q^2 < 2^53.
+        Otherwise the histogram is the autocorrelation of the multiplicity
+        array on the additive group (Z/p)^n, by FFT in O(q log q): in C order
+        the base-p encoding is exactly an array of shape (p,)*n, on which
+        field addition is a cyclic shift per axis, and a bin off an integer
+        by more than 0.25 raises InvariantError.  On either path a total
+        other than len(values)**2 raises InvariantError.
         """
         m = len(values)
         if m == 0:
@@ -930,14 +1078,20 @@ class FieldSpec:
         k = len(distinct)
         if k * k <= self.q:
             mult = counts[distinct]
-            del counts  # q-long, like the float accumulator and each bincount below
-            exact = np.zeros(self.q)
+            del counts  # q-long, like each bincount below
             rows = max(1, _PAIR_CHUNK // k)
-            for lo in range(0, k, rows):
-                diffs = self.sub_arrays(distinct[lo : lo + rows, None], distinct)
-                weights = mult[lo : lo + rows, None] * mult
-                exact += np.bincount(diffs.ravel(), weights.ravel(), minlength=self.q)
-            hist = exact.astype(np.int64)
+            exact = _summed(
+                np.bincount(
+                    self.sub_arrays(distinct[lo : lo + rows, None], distinct).ravel(),
+                    (mult[lo : lo + rows, None] * mult).ravel(),
+                    minlength=self.q,
+                )
+                for lo in range(0, k, rows)
+            )
+            # int64 in place, through an int64 view of the float64 buffer:
+            # numpy copies 1-d arrays of equal strides element by element
+            hist = exact.view(np.int64)
+            np.copyto(hist, exact, casting="unsafe")
         else:
             shape = (self.p,) * self.n
             axes = tuple(range(self.n))

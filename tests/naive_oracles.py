@@ -6,7 +6,7 @@ the field's modulus, and square-and-multiply), through FieldSpec's scalar
 methods one element at a time (naive_dij_counts, naive_d00_condition) or,
 in bulk, through the base-p digits of the encodings, and the prime field
 variants below use nothing but Python integers.  pair_key_beta_count is
-the exception: it runs on the library's value table and bulk subtraction,
+the exception: it runs on the library's value table and bulk arithmetic,
 with the boomerang count that the library replaced by its (D, F) keys.
 """
 
@@ -17,7 +17,7 @@ import numpy as np
 from ffbinom.boom import BijklCounts
 from ffbinom.diff import CollisionReport, DijCounts
 from ffbinom.errors import FFBinomError
-from ffbinom.family import BinomialSpec, _shifted, eval_table, evaluate
+from ffbinom.family import BinomialSpec, eval_table, evaluate
 from ffbinom.gf import FieldSpec, SijClass, _pmulmod
 
 
@@ -107,7 +107,7 @@ def naive_delta_row(field: FieldSpec, spec: BinomialSpec) -> Counter:
 
 def naive_shift_difference(field: FieldSpec, values, a: int) -> list[int]:
     """values[x + a] - values[x] for every x, one scalar field.add and
-    field.sub per x; the reference for family._shift_difference."""
+    field.sub per x; the reference for FieldSpec.shift_difference."""
     return [field.sub(int(values[field.add(x, a)]), int(values[x])) for x in field.elements()]
 
 
@@ -214,8 +214,8 @@ def pairwise_diff_hist(field: FieldSpec, values: np.ndarray) -> np.ndarray:
 
 def packed_runs(runs) -> tuple[np.ndarray, np.ndarray]:
     """Runs of encoded values back to back, with the mask same[x] that tells
-    whether positions x and x + 1 lie in one run: the input layout of the
-    boomerang small-class kernel."""
+    whether positions x and x + 1 lie in one run: the input layout of
+    FieldSpec.run_diff_hist."""
     values = np.concatenate([np.asarray(run, dtype=np.int64) for run in runs])
     same = np.ones(len(values), dtype=bool)
     same[np.cumsum([len(run) for run in runs]) - 1] = False
@@ -258,7 +258,7 @@ def pair_key_beta_count(field: FieldSpec, spec: BinomialSpec, a: int, b: int) ->
     (D, F) keys of its counts nor beta_profile's pair histograms, and is
     the reference for beta_row, beta_ab and bijkl_counts(...).total."""
     fv = eval_table(field, spec)
-    fa = _shifted(field, fv, a)
+    fa = fv[field.add_arrays(np.arange(field.q, dtype=np.int64), a)]
     uniq, cnt = np.unique(fv * field.q + fa, return_counts=True)
     targets = field.sub_arrays(fv, b) * field.q + field.sub_arrays(fa, b)
     idx = np.minimum(np.searchsorted(uniq, targets), len(uniq) - 1)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from ffbinom import gf
 from ffbinom.boom import beta_ab, beta_profile, beta_row, bijkl_counts
 from ffbinom.diff import d00_condition, delta_row
-from ffbinom.family import BinomialSpec, _shift_difference, eval_table
+from ffbinom.family import BinomialSpec, eval_table
 from ffbinom.gf import is_prime, make_field
 
 from naive_oracles import (
@@ -95,8 +95,8 @@ def test_blocked_shift_difference(data):
         values = eval_table(f, BinomialSpec(data.draw(st.integers(1, 2 * f.q)), data.draw(elements(f))))
     else:
         values = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).integers(0, f.q, f.q)
-    row = blocked(lambda: _shift_difference(f, values, a))
-    assert np.array_equal(row, _shift_difference(f, values, a))
+    row = blocked(lambda: f.shift_difference(values, a))
+    assert np.array_equal(row, f.shift_difference(values, a))
     assert row.tolist() == naive_shift_difference(f, values, a)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ffbinom import boom, family
+from ffbinom import boom, gf
 from ffbinom.boom import beta_ab, beta_profile, beta_row, bijkl_counts, boom_spectrum
 from ffbinom.errors import FFBinomError, InvariantError, UnsupportedUError, ZeroShiftError
 from ffbinom.family import BinomialSpec, eval_table
@@ -110,12 +110,12 @@ def test_within_row_diff_hist_matches_pairwise(monkeypatch, p, n, chunk):
     f = make_field(p, n)
     if chunk:
         # pieces and pooled bincounts break inside every offset
-        monkeypatch.setattr(boom, "_PAIR_CHUNK", chunk)
+        monkeypatch.setattr(gf, "_PAIR_CHUNK", chunk)
     rows = _runs_with_repeats(f, np.random.default_rng(p**n))
     for row in rows:
-        assert (boom._within_row_diff_hist(f, *packed_runs([row])) == pairwise_diff_hist(f, row)).all()
+        assert (f.run_diff_hist(*packed_runs([row])) == pairwise_diff_hist(f, row)).all()
     expected = sum(pairwise_diff_hist(f, row) for row in rows)
-    assert (boom._within_row_diff_hist(f, *packed_runs(rows)) == expected).all()
+    assert (f.run_diff_hist(*packed_runs(rows)) == expected).all()
 
 
 @pytest.mark.parametrize(
@@ -129,7 +129,7 @@ def test_beta_profile_matches_beta_ab_prime_field(monkeypatch, p, r, u, repeats)
     # bin gets off-diagonal pairs and must count them twice
     f = make_field(p, 1)
     spec = BinomialSpec(r, u)
-    within = boom._within_row_diff_hist
+    within = FieldSpec.run_diff_hist
     repeated = []
 
     def spy(field, values, same):
@@ -137,7 +137,7 @@ def test_beta_profile_matches_beta_ab_prime_field(monkeypatch, p, r, u, repeats)
             repeated.append(len(np.unique(run)) < len(run))
         return within(field, values, same)
 
-    monkeypatch.setattr(boom, "_within_row_diff_hist", spy)
+    monkeypatch.setattr(FieldSpec, "run_diff_hist", spy)
     for a in (1, 2, f.q - 1):
         repeated.clear()
         profile = beta_profile(f, spec, a)
@@ -152,16 +152,6 @@ def test_bijkl_counts_match_naive(p, n, r, u):
     f = make_field(p, n)
     spec = BinomialSpec(r, u)
     assert {b: bijkl_counts(f, spec, b) for b in range(1, f.q)} == naive_bijkl_counts(f, spec)
-
-
-@pytest.mark.parametrize("p,n", [(11, 1), (1019, 1), (3, 2), (5, 3)])
-def test_shifted_is_value_at_x_plus_a(p, n):
-    # beta(-a, b) = beta(a, b), so the profiles alone cannot tell the
-    # direction of the F_p rotation apart
-    f = make_field(p, n)
-    fv = eval_table(f, BinomialSpec(5, 2))
-    for a in (1, 2, f.q - 1):
-        assert family._shifted(f, fv, a).tolist() == [int(fv[f.add(x, a)]) for x in f.elements()]
 
 
 def test_key_bits_fit_every_table_field():
@@ -229,14 +219,14 @@ def test_boom_spectrum_sum_identity():
 
 def test_beta_profile_guards_pair_total(monkeypatch):
     # one pair too many from the batched small-class histograms
-    within = boom._within_row_diff_hist
+    within = FieldSpec.run_diff_hist
 
     def corrupted(*args):
         hist = within(*args)
         hist[1] += 1
         return hist
 
-    monkeypatch.setattr(boom, "_within_row_diff_hist", corrupted)
+    monkeypatch.setattr(FieldSpec, "run_diff_hist", corrupted)
     with pytest.raises(InvariantError):
         boom_spectrum(make_field(1019, 1), BinomialSpec(5, 3))
 

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from ffbinom import cli, diff, family, predict
+from ffbinom.errors import FFBinomError
 from ffbinom.gf import make_field
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -205,6 +206,18 @@ def test_usage_errors_exit_1(capsys):
             cli.main(argv)
         assert exc.value.code == 1
         assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_error_inside_tables_exits_1(capsys, monkeypatch):
+    # every command shares the one error exit of main, tables included
+    def fail(*args, **kwargs):
+        raise FFBinomError("no verification today")
+
+    monkeypatch.setattr(predict, "verify", fail)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["tables", "--which", "ds-f3"])
+    assert exc.value.code == 1
+    assert "error: no verification today" in capsys.readouterr().err
 
 
 def test_overflow_rejected_at_parse(capsys):

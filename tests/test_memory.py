@@ -11,9 +11,10 @@ and must give the same result under the trace.
 import numpy as np
 import pytest
 
+from ffbinom import gf
 from ffbinom.boom import beta_row, bijkl_counts, boom_spectrum
 from ffbinom.diff import d00_condition, delta_row
-from ffbinom.family import BinomialSpec, _shift_difference, eval_table
+from ffbinom.family import BinomialSpec, eval_table
 from ffbinom.gf import make_field
 
 
@@ -77,10 +78,37 @@ def test_extension_field_peaks_3_11(peak_arrays, name, bound):
     spec = BinomialSpec(2, 1)
     fv = eval_table(f, spec)
     calls = {
-        "shift_difference": lambda: _shift_difference(f, fv),
+        "shift_difference": lambda: f.shift_difference(fv),
         "d00_condition": lambda: d00_condition(f, 2),
         "beta_row": lambda: beta_row(f, spec, 1),
         "boom_spectrum": lambda: boom_spectrum(f, spec),
         "bijkl_counts": lambda: bijkl_counts(f, spec, 1),
     }
     _check_peak(peak_arrays, f.q, calls[name], bound)
+
+
+@pytest.mark.parametrize("p,n", [(100003, 1), (3, 11)])
+def test_outer_diff_hist_pair_path_peak(peak_arrays, p, n):
+    # a class of about q/4 members with two distinct values, like the
+    # zero-difference class of u = +-1: the first bincount is the
+    # accumulator and becomes int64 in its own buffer (2.00 with a float
+    # accumulator and an int64 copy)
+    f = make_field(p, n)
+    values = np.tile(np.array([0, f.minus_one], dtype=np.int64), f.q // 8)
+    _check_peak(peak_arrays, f.q, lambda: f.outer_diff_hist(values), 1.3)
+
+
+@pytest.mark.parametrize("p,n", [(100003, 1), (3, 11)])
+def test_run_diff_hist_peak(peak_arrays, monkeypatch, p, n):
+    # runs of two among singletons, binned _PAIR_CHUNK = 2^12 differences at
+    # a time: the histogram and one bincount are live at once, next to the
+    # pairs' first positions and values (a third of an array each); 3.75
+    # with each bincount kept until the next one was made
+    monkeypatch.setattr(gf, "_PAIR_CHUNK", 1 << 12)
+    f = make_field(p, n)
+    q = f.q
+    values = np.random.default_rng(q).integers(0, q, q)
+    same = np.zeros(q, dtype=bool)
+    same[::3] = True
+    same[-1] = False
+    _check_peak(peak_arrays, q, lambda: f.run_diff_hist(values, same), 3.0)

@@ -11,10 +11,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffbinom import boom
 from ffbinom.boom import beta_ab, beta_profile, beta_row, bijkl_counts
 from ffbinom.diff import d00_condition, dij_counts
-from ffbinom.family import BinomialSpec, _shift_difference, eval_table, evaluate
+from ffbinom.family import BinomialSpec, eval_table, evaluate
 from ffbinom.gf import is_prime, make_field
 
 from naive_oracles import (
@@ -79,7 +78,7 @@ def test_within_row_diff_hist_matches_pairwise(data):
     pool = data.draw(st.lists(element, min_size=1, max_size=6))
     runs = data.draw(st.lists(st.lists(st.sampled_from(pool) | element, min_size=1, max_size=30), min_size=1, max_size=8))
     expected = sum(pairwise_diff_hist(f, np.array(run, dtype=np.int64)) for run in runs)
-    assert (boom._within_row_diff_hist(f, *packed_runs(runs)) == expected).all()
+    assert (f.run_diff_hist(*packed_runs(runs)) == expected).all()
 
 
 @_SETTINGS
@@ -181,7 +180,7 @@ def test_prime_field_shift_difference_matches_scalar_oracle(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     extremes = data.draw(st.booleans())
     values = rng.choice([0, f.q - 1], f.q) if extremes else rng.integers(0, f.q, f.q)
-    row = _shift_difference(f, values, a)
+    row = f.shift_difference(values, a)
     assert row.min() >= 0 and row.max() < f.q
     assert row.tolist() == naive_shift_difference(f, values, a)
 
@@ -246,6 +245,6 @@ def test_within_row_diff_hist_without_pairs(data):
     f = data.draw(fields() | prime_fields())
     values = data.draw(st.lists(st.integers(0, f.q - 1), min_size=1, max_size=40))
     expected = sum(pairwise_diff_hist(f, np.array([v], dtype=np.int64)) for v in values)
-    assert (boom._within_row_diff_hist(f, *packed_runs([[v] for v in values])) == expected).all()
-    empty = boom._within_row_diff_hist(f, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool))
+    assert (f.run_diff_hist(*packed_runs([[v] for v in values])) == expected).all()
+    empty = f.run_diff_hist(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool))
     assert empty.shape == (f.q,) and not empty.any()

@@ -34,3 +34,47 @@ def test_field_tables_are_read_in_gf_only():
         if isinstance(node, ast.Attribute) and node.attr in private
     ]
     assert not found, f"field table internals read outside gf: {found}"
+
+
+def _name_of(node):
+    # the name that an attribute, a bare name or an import reads
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.name if isinstance(node, ast.alias) else None
+
+
+def test_block_rule_and_pair_kernels_live_in_gf_only():
+    # gf's encoding and block rule stay in gf: other modules take the shift
+    # row, the pair-difference histograms and the bulk operations from
+    # FieldSpec's methods, and family imports only public names from gf
+    private = {
+        "_BUILD_CHUNK",
+        "_PAIR_CHUNK",
+        "_blocks_into",
+        "_blockwise",
+        "_reduce",
+        "_add_q_where_negative",
+        "_zech_sum",
+        "_zech_block",
+    }
+    sources = sorted(Path(ffbinom.__file__).parent.rglob("*.py"))
+    assert any(path.name == "gf.py" for path in sources)
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sources}
+    found = [
+        f"{name}:{node.lineno} {_name_of(node)}"
+        for name, tree in trees.items()
+        if name != "gf.py"
+        for node in ast.walk(tree)
+        if _name_of(node) in private
+    ]
+    assert not found, f"gf internals read outside gf: {found}"
+    from_gf = [
+        alias.name
+        for node in ast.walk(trees["family.py"])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if node.module == "gf" or alias.name == "gf"
+    ]
+    assert from_gf and all(not name.startswith("_") and name != "gf" for name in from_gf), from_gf
