@@ -20,8 +20,7 @@ together to FieldSpec.run_diff_hist, which forms their pairs.  Large groups
 go one by one to FieldSpec.outer_diff_hist, whose cost follows their
 distinct values: the group of x with zero difference has about (q+1)/4
 members for locally-APN inputs, but with u = +-1 only one or two distinct
-values.  Shifts a and targets b are checked to be elements of [0, q) on
-entry, as u is.
+values.
 
 No count holds more than about two live q-long arrays (the value table and
 the keys, or the keys and the targets) plus one block of scratch.  For that
@@ -32,13 +31,14 @@ sub_arrays would hold one more block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gf
 from .errors import FFBinomError, InvariantError, UnsupportedUError
-from .family import BinomialSpec, _check_element, _check_shift, eval_table
+from .family import BinomialSpec, eval_table
 from .gf import TABLE_LIMIT, Elt, FieldSpec
 
 _BIJKL_KEYS = tuple(f"{i}{j}{k}{l}" for i in "01" for j in "01" for k in "01" for l in "01")
@@ -113,20 +113,6 @@ def _rank_sums(keys: np.ndarray, queries: np.ndarray, bounds) -> np.ndarray:
     return sums
 
 
-def _beta_count(field: FieldSpec, spec: BinomialSpec, a: Elt, b: Elt) -> int:
-    # x's target is a function of x's key alone, so the sorted keys give the
-    # targets one block at a time and no q-long target array is built; the
-    # keys equal to a target t are those up to t and not below t
-    keys = _diff_keys(field, eval_table(field, spec), a)
-    keys.sort()
-    count = 0
-    for lo, hi in gf._blocks(field.q):
-        targets = _targets(field, keys[lo:hi], b)
-        count += int(np.searchsorted(keys, targets, "right").sum())
-        count -= int(np.searchsorted(keys, targets, "left").sum())
-    return count
-
-
 def beta_row(field: FieldSpec, spec: BinomialSpec, b: Elt) -> int:
     """Number of pairs (x, y) with F(x)-F(y) = b and F(x+1)-F(y+1) = b.
 
@@ -135,8 +121,7 @@ def beta_row(field: FieldSpec, spec: BinomialSpec, b: Elt) -> int:
     beta_profile sorts, matched against the targets of each block of the
     sorted keys by two searchsorted passes, for the keys up to t and below t.
     """
-    _check_element(field, "b", b)
-    return _beta_count(field, spec, 1, b)
+    return beta_ab(field, spec, 1, b)
 
 
 def beta_profile(field: FieldSpec, spec: BinomialSpec, a: Elt = 1) -> np.ndarray:
@@ -167,7 +152,6 @@ def beta_profile(field: FieldSpec, spec: BinomialSpec, a: Elt = 1) -> np.ndarray
     mask is cleared, so the pair kernel sees them as singletons, and their
     zero differences, which it counts for every value, are taken off again.
     """
-    _check_shift(field, a)
     q = field.q
     fv = eval_table(field, spec)
     keys = _diff_keys(field, fv, a)
@@ -189,11 +173,12 @@ def beta_profile(field: FieldSpec, spec: BinomialSpec, a: Elt = 1) -> np.ndarray
     sizes[0] = ends[0]
     np.subtract(ends[1:], ends[:-1], out=sizes[1:])
     pairs = int(np.dot(sizes, sizes))
-    # the classes too large for the pair kernel, as [start, end) bounds;
-    # then the per-class arrays are dead, like the differences
+    # the classes too large for the pair kernel, s > isqrt(q) (s * s > q with no
+    # int64 product), as [start, end) bounds; then the per-class arrays are dead
+    root = math.isqrt(q)
     large = []
-    if int(sizes.max()) ** 2 > q:
-        large = [(int(ends[c] - sizes[c]), int(ends[c])) for c in np.flatnonzero(sizes * sizes > q)]
+    if int(sizes.max()) > root:
+        large = [(int(ends[c] - sizes[c]), int(ends[c])) for c in np.flatnonzero(sizes > root)]
     del ends, sizes
     for start, end in large:
         # the pair kernel sees a large class as singletons: it forms none of
@@ -219,11 +204,21 @@ def boom_spectrum(field: FieldSpec, spec: BinomialSpec) -> BoomSpectrum:
 
 
 def beta_ab(field: FieldSpec, spec: BinomialSpec, a: Elt, b: Elt) -> int:
-    """Solutions of F(x)-F(y) = b, F(x+a)-F(y+a) = b, for a != 0: beta_row's
-    sorted keys and their targets, with D(x) = F(x+a) - F(x)."""
-    _check_shift(field, a)
-    _check_element(field, "b", b)
-    return _beta_count(field, spec, a, b)
+    """Solutions of F(x)-F(y) = b, F(x+a)-F(y+a) = b, for a != 0 (the shift
+    row checks a): beta_row's sorted keys and their targets, with
+    D(x) = F(x+a) - F(x)."""
+    field.check_element(b, "b")
+    # x's target is a function of x's key alone, so the sorted keys give the
+    # targets one block at a time and no q-long target array is built; the
+    # keys equal to a target t are those up to t and not below t
+    keys = _diff_keys(field, eval_table(field, spec), a)
+    keys.sort()
+    count = 0
+    for lo, hi in gf._blocks(field.q):
+        targets = _targets(field, keys[lo:hi], b)
+        count += int(np.searchsorted(keys, targets, "right").sum())
+        count -= int(np.searchsorted(keys, targets, "left").sum())
+    return count
 
 
 def bijkl_counts(field: FieldSpec, spec: BinomialSpec, b: Elt) -> BijklCounts:
@@ -238,7 +233,7 @@ def bijkl_counts(field: FieldSpec, spec: BinomialSpec, b: Elt) -> BijklCounts:
     target * 5 + c and target * 5 + c + 1: six searchsorted passes, one per
     bound, give every class of y, summed per class of x into a 5 x 5 grid
     whose row and column 4 are the boundary."""
-    _check_element(field, "b", b)
+    field.check_element(b, "b")
     if spec.u not in (1, field.minus_one):
         raise UnsupportedUError("class decomposition requires u = +-1")
     if b == 0:

@@ -20,7 +20,6 @@ from .errors import (
     WrongResidueError,
     ZeroLeadingError,
 )
-from .family import _check_element
 from .gf import Elt, FieldSpec, _pgcd, _pmul, _ptrim
 
 
@@ -90,7 +89,7 @@ def quad_char_sum(field: FieldSpec, a2: Elt, a1: Elt, a0: Elt) -> int:
     (q-1) chi(a2); InvariantError is raised if the computed sum differs.
     """
     for name, a in (("a2", a2), ("a1", a1), ("a0", a0)):
-        _check_element(field, name, a)
+        field.check_element(a, name)
     if a2 == 0:
         raise ZeroLeadingError("leading coefficient must be nonzero")
     xs = np.arange(field.q, dtype=np.int64)

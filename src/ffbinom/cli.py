@@ -167,6 +167,8 @@ def _cmd_charsum(parser, args) -> int:
 
 def _cmd_verify(parser, args) -> int:
     if args.qmax is not None:
+        if args.r is not None:
+            parser.error("--r needs a single field (--p/--n), not --qmax")
         fields, r = predict.fields_for(args.theorem, args.qmax), None
     elif args.p is None:
         parser.error("verify needs --p/--n or --qmax")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError, UnsupportedUError
-from .family import BinomialSpec, _check_element, _check_shift, eval_table
+from .family import BinomialSpec, eval_table
 from .gf import Elt, FieldSpec
 
 
@@ -68,9 +68,9 @@ def delta_row(field: FieldSpec, spec: BinomialSpec) -> np.ndarray:
 
 
 def delta_ab(field: FieldSpec, spec: BinomialSpec, a: Elt, b: Elt) -> int:
-    """Number of x with F(x+a) - F(x) = b, for a != 0."""
-    _check_shift(field, a)
-    _check_element(field, "b", b)
+    """Number of x with F(x+a) - F(x) = b, for a != 0 (the shift row
+    checks a)."""
+    field.check_element(b, "b")
     return int(np.count_nonzero(field.shift_difference(eval_table(field, spec), a) == b))
 
 
@@ -91,7 +91,7 @@ def _row_spectrum(field: FieldSpec, row: np.ndarray) -> DiffSpectrum:
 def dij_counts(field: FieldSpec, spec: BinomialSpec, b: Elt) -> DijCounts:
     """Solutions of F(x+1) - F(x) = b partitioned by the class of x: a
     bincount of the solutions' sij_table codes, in DijCounts field order."""
-    _check_element(field, "b", b)
+    field.check_element(b, "b")
     if spec.u not in (1, field.minus_one):
         raise UnsupportedUError("class decomposition requires u = +-1")
     sol = field.shift_difference(eval_table(field, spec)) == b

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FFBinomError, ZeroShiftError
+from .errors import FFBinomError
 from .gf import Elt, FieldSpec
 
 
@@ -51,23 +51,9 @@ def reduce_exponent(field: FieldSpec, r: int) -> int:
     return field.q - 1 if rr == 0 else rr
 
 
-def _check_element(field: FieldSpec, name: str, x: Elt) -> None:
-    # the bulk paths index tables and rotate arrays by elements, so an
-    # integer outside [0, q) would silently act as its residue or fail late
-    if not 0 <= x < field.q:
-        raise FFBinomError(f"{name} = {x} is not an element of F_{field.q}")
-
-
-def _check_shift(field: FieldSpec, a: Elt) -> None:
-    # a shift a of F(x + a) - F(x): an element, and nonzero
-    _check_element(field, "a", a)
-    if a == 0:
-        raise ZeroShiftError("a must be nonzero")
-
-
 def evaluate(field: FieldSpec, spec: BinomialSpec, x: Elt) -> Elt:
     """Value of x^r * (1 + u*chi(x)), with 0 mapping to 0."""
-    _check_element(field, "u", spec.u)
+    field.check_element(spec.u, "u")
     if x == 0:
         return 0
     c = field.chi(x)
@@ -79,7 +65,7 @@ def eval_table(field: FieldSpec, spec: BinomialSpec) -> np.ndarray:
     """Values of the binomial over the whole field as an encoded int64 array:
     the power table of r scaled by 1 + u on squares and by 1 - u on
     non-squares (FieldSpec.power_table); 0 maps to 0."""
-    _check_element(field, "u", spec.u)
+    field.check_element(spec.u, "u")
     return field.power_table(spec.r, (field.add(1, spec.u), field.sub(1, spec.u)))
 
 

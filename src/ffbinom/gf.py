@@ -69,7 +69,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BadDegreeError, EvenCharacteristicError, FFBinomError, InvariantError, NonPrimeError
+from .errors import BadDegreeError, EvenCharacteristicError, FFBinomError, InvariantError, NonPrimeError, ZeroShiftError
 
 Elt = int
 
@@ -587,10 +587,15 @@ class FieldSpec:
             v += c * self.p**i
         return v
 
+    def check_element(self, x: Elt, name: str = "x") -> None:
+        """The library's one element test: FFBinomError unless x is in [0, q),
+        where an integer would otherwise act as its residue or index past a table."""
+        if not 0 <= x < self.q:
+            raise FFBinomError(f"{name} = {x} is not an element of F_{self.q}")
+
     def decode(self, value: Elt) -> list[int]:
         """Unpack an element into its coefficient vector."""
-        if not 0 <= value < self.q:
-            raise self._not_an_element(value)
+        self.check_element(value)
         out = []
         for _ in range(self.n):
             value, c = divmod(value, self.p)
@@ -608,34 +613,26 @@ class FieldSpec:
 
     def add(self, a: Elt, b: Elt) -> Elt:
         if self.n == 1:
-            self._check_prime_elements(a, b)
+            self.check_element(a, "a")
+            self.check_element(b, "b")
             return (a + b) % self.p
+        # decode checks a and b
         return self.encode((ca + cb) % self.p for ca, cb in zip(self.decode(a), self.decode(b)))
 
     def sub(self, a: Elt, b: Elt) -> Elt:
         if self.n == 1:
-            self._check_prime_elements(a, b)
+            self.check_element(a, "a")
+            self.check_element(b, "b")
             return (a - b) % self.p
+        # decode checks a and b
         return self.encode((ca - cb) % self.p for ca, cb in zip(self.decode(a), self.decode(b)))
 
     def neg(self, a: Elt) -> Elt:
         return self.sub(0, a)
 
-    def _not_an_element(self, x) -> FFBinomError:
-        return FFBinomError(f"{x} is not an element of F_{self.q}")
-
-    def _check_prime_elements(self, *xs: Elt) -> None:
-        # on F_{p^n} decode rejects what is not in [0, q); on F_p the
-        # integer arithmetic would reduce it silently
-        for x in xs:
-            if not 0 <= x < self.q:
-                raise self._not_an_element(x)
-
     def mul(self, a: Elt, b: Elt) -> Elt:
-        if not 0 <= a < self.q:
-            raise self._not_an_element(a)
-        if not 0 <= b < self.q:
-            raise self._not_an_element(b)
+        self.check_element(a, "a")
+        self.check_element(b, "b")
         if self._exp is None:
             raise no_tables(self.q)
         if a == 0 or b == 0:
@@ -643,8 +640,7 @@ class FieldSpec:
         return int(self._exp[(self._log[a] + self._log[b]) % (self.q - 1)])
 
     def inv(self, a: Elt) -> Elt:
-        if not 0 <= a < self.q:
-            raise self._not_an_element(a)
+        self.check_element(a, "a")
         if self._exp is None:
             raise no_tables(self.q)
         if a == 0:
@@ -655,8 +651,7 @@ class FieldSpec:
         """x^e with 0^0 = 1 and 0^e = 0; e reduced mod q-1 on nonzero x."""
         if e < 0:
             raise FFBinomError("exponent must be nonnegative")
-        if not 0 <= x < self.q:
-            raise self._not_an_element(x)
+        self.check_element(x)
         if self._exp is None:
             raise no_tables(self.q)
         if x == 0:
@@ -666,8 +661,7 @@ class FieldSpec:
 
     def chi(self, x: Elt) -> int:
         """Quadratic character: 0 at 0, +1 on nonzero squares, -1 otherwise."""
-        if not 0 <= x < self.q:
-            raise self._not_an_element(x)
+        self.check_element(x)
         if self._exp is None:
             raise no_tables(self.q)
         return int(self._chi[x])
@@ -894,8 +888,7 @@ class FieldSpec:
         if e < 0:
             raise FFBinomError("exponent must be nonnegative")
         for c in scale:
-            if not 0 <= c < self.q:
-                raise self._not_an_element(c)
+            self.check_element(c, "scale")
         self._require_tables()
         m = self.q - 1
         # s0, s1: the logs of the scales, a zero scale taking the other's log
@@ -954,7 +947,8 @@ class FieldSpec:
         """The shift row F(x + a) - F(x) for every x, given values[x] = F(x):
         the one place the difference rows, the boomerang keys and the S00
         collision filter form it.  The result is a new int64 array that the
-        caller owns.
+        caller owns.  The shift a must be a nonzero element: a = 0 raises
+        ZeroShiftError, and a non-element FFBinomError.
 
         On F_p, x + a is x + a - q from x = q - a on, so the row is two slice
         differences written into one array, each in (-q, q), and then
@@ -968,6 +962,9 @@ class FieldSpec:
         on F_{p^n} a block gathers F(x + a) into its part of the result,
         which the Zech subtraction of _sub_into then overwrites.
         """
+        self.check_element(a, "a")
+        if a == 0:
+            raise ZeroShiftError("a must be nonzero")
         q = self.q
         if q <= _BUILD_CHUNK:
             # one block: run as one block, the gather and _sub_into measured

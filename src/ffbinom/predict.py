@@ -137,27 +137,23 @@ class _Theorem:
     """One row of the theorem table.
 
     The theorem applies to the prime powers among first_q, next_q(first_q),
-    ...  It is checked on x^r (1 + chi(x)) with r = exponent(field, r passed
-    to verify): predict gives the predicted dict and the character sum behind
-    it, oracle the brute-force dict, spectrum the key whose first mismatch is
-    reported, and note the remark on the F_11 report.  The callables reach
-    library functions through their modules at call time, so tracing and
-    monkeypatching, which rebind module attributes, see every call.
+    ...  It is checked on x^r (1 + chi(x)) with r = exponent(field), or with
+    the r passed to verify where exponent is None (du); the other theorems
+    fix their exponent and refuse an r.  predict gives the predicted dict and
+    the character sum behind it, oracle the brute-force dict, spectrum the
+    key whose first mismatch is reported, and note the remark on the F_11
+    report.  The callables reach library functions through their modules at
+    call time, so tracing and monkeypatching, which rebind module
+    attributes, see every call.
     """
 
     first_q: int
     next_q: Callable[[int], int]
-    exponent: Callable[[FieldSpec, int | None], int]
+    exponent: Callable[[FieldSpec], int] | None
     predict: Callable[[FieldSpec, BinomialSpec], tuple[dict, int | None]]
     oracle: Callable[[FieldSpec, BinomialSpec], dict]
     spectrum: str | None = None
     note: str = ""
-
-
-def _du_exponent(field: FieldSpec, r: int | None) -> int:
-    if r is None:
-        raise NotApplicableError("theorem 'du' needs an exponent r")
-    return r
 
 
 def _du_oracle(field: FieldSpec, spec: BinomialSpec) -> dict:
@@ -203,27 +199,27 @@ def _cm_equiv_oracle(field: FieldSpec, spec: BinomialSpec) -> dict:
 
 _TABLE = {
     "du": _Theorem(
-        3, lambda q: q + 4, _du_exponent,
+        3, lambda q: q + 4, None,
         lambda f, spec: (asdict(predict_du(f, spec.r)), None),
         _du_oracle,
     ),
     "ds-f3": _Theorem(
-        11, lambda q: q + 12, lambda f, r: 3,
+        11, lambda q: q + 12, lambda f: 3,
         lambda f, spec: _ds_f3(f),
         _diff_oracle, "omega", _OUTSIDE_HYPOTHESIS,
     ),
     "ds-f3inv": _Theorem(
-        11, lambda q: q + 12, lambda f, r: (2 * f.q - 1) // 3,
+        11, lambda q: q + 12, lambda f: (2 * f.q - 1) // 3,
         lambda f, spec: ({"omega": predict_ds_f3inv(f).omega}, None),
         _diff_oracle, "omega", _OUTSIDE_HYPOTHESIS,
     ),
     "bs-f2": _Theorem(
-        27, lambda q: 9 * q, lambda f, r: 2,
+        27, lambda q: 9 * q, lambda f: 2,
         lambda f, spec: _bs_f2(f),
         _boom_oracle, "nu",
     ),
     "cm-equiv": _Theorem(
-        27, lambda q: 9 * q, lambda f, r: (3 ** (f.n - 1) + 1) // 2,
+        27, lambda q: 9 * q, lambda f: (3 ** (f.n - 1) + 1) // 2,
         _cm_equiv_predict, _cm_equiv_oracle, "nu",
     ),
 }
@@ -240,7 +236,11 @@ def _theorem(name: str) -> _Theorem:
 def verify(field: FieldSpec, theorem: str, r: int | None = None) -> VerifyReport:
     """Run the predictor and the brute oracle for one theorem on one field."""
     t = _theorem(theorem)
-    spec = BinomialSpec(t.exponent(field, r), 1)
+    if t.exponent is None and r is None:
+        raise NotApplicableError(f"theorem {theorem!r} needs an exponent r")
+    if t.exponent is not None and r is not None:
+        raise NotApplicableError(f"theorem {theorem!r} fixes its own exponent and takes no r")
+    spec = BinomialSpec(r if t.exponent is None else t.exponent(field), 1)
     predicted, char_sum = t.predict(field, spec)
     oracle = t.oracle(field, spec)
     key = t.spectrum

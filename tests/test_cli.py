@@ -208,6 +208,19 @@ def test_usage_errors_exit_1(capsys):
         assert f"error: {message}" in capsys.readouterr().err
 
 
+def test_verify_r_only_for_du_on_one_field(capsys):
+    # --r used to be ignored: ds-f3 printed its r = 3 report and exited 0,
+    # and du with --qmax ran every special exponent of each field
+    for argv, message in (
+        (["verify", "--theorem", "ds-f3", "--p", "23", "--r", "5"], "theorem 'ds-f3' fixes its own exponent"),
+        (["verify", "--theorem", "du", "--qmax", "20", "--r", "5"], "--r needs a single field"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_error_inside_tables_exits_1(capsys, monkeypatch):
     # every command shares the one error exit of main, tables included
     def fail(*args, **kwargs):

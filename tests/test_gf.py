@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ffbinom import boom, charsum, diff, gf, predict
-from ffbinom.errors import BadDegreeError, EvenCharacteristicError, FFBinomError, InvariantError, NonPrimeError
+from ffbinom.errors import BadDegreeError, EvenCharacteristicError, FFBinomError, InvariantError, NonPrimeError, ZeroShiftError
 from ffbinom.family import BinomialSpec, eval_table, table1_exponents
 from ffbinom.gf import FieldSpec, SijClass, is_prime, make_field, prime_power
 
@@ -15,6 +15,7 @@ from naive_oracles import (
     digit_sub,
     naive_chi,
     naive_eval,
+    naive_shift_difference,
     pairwise_diff_hist,
     pow_slow,
     raw_mul,
@@ -237,6 +238,23 @@ def test_prime_field_add_sub_neg_reject_non_elements():
                 call()
     assert (f7.add(6, 1), f7.sub(0, 1), f7.neg(3), f7.neg(0)) == (0, 6, 4, 0)
     assert f7.add_arrays(np.array([10, -1, 6]), 1).tolist() == [4, 0, 0]
+
+
+@pytest.mark.parametrize("p,n", [(11, 1), (3, 2)])
+def test_shift_difference_checks_its_shift(p, n):
+    # the shift row used to take any integer: on F_11, a = 11 and a = 0 gave
+    # an all-zero row and a = 12 or -1 a bare ValueError; on F_9, a = -1 gave
+    # a row and a = 9 or 10 an IndexError
+    f = make_field(p, n)
+    values = eval_table(f, BinomialSpec(3, 1))
+    for a in (f.q, f.q + 1, -1):
+        with pytest.raises(FFBinomError, match=f"a = {a} is not an element of F_{f.q}"):
+            f.shift_difference(values, a)
+    with pytest.raises(ZeroShiftError):
+        f.shift_difference(values, 0)
+    # the largest element is still a shift
+    top = f.q - 1
+    assert f.shift_difference(values, top).tolist() == naive_shift_difference(f, values, top)
 
 
 def test_reduce_matches_remainder():

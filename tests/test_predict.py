@@ -88,6 +88,17 @@ def test_predict_bs_f2_not_applicable():
         predict_bs_f2(make_field(3, 1))
 
 
+def test_verify_refuses_r_outside_du():
+    # every theorem but du fixes its exponent; an r given to it was ignored
+    for theorem in ("ds-f3", "ds-f3inv"):
+        with pytest.raises(NotApplicableError, match="takes no r"):
+            verify(make_field(23, 1), theorem, 5)
+    with pytest.raises(NotApplicableError, match="takes no r"):
+        verify(make_field(3, 3), "bs-f2", 2)
+    with pytest.raises(NotApplicableError, match="needs an exponent r"):
+        verify(make_field(23, 1), "du")
+
+
 def test_verify_ds_f3_matches():
     report = verify(make_field(23, 1), "ds-f3")
     assert report.match

@@ -36,6 +36,23 @@ def test_field_tables_are_read_in_gf_only():
     assert not found, f"field table internals read outside gf: {found}"
 
 
+def test_element_test_lives_in_gf_only():
+    # FieldSpec.check_element is the one element test: its message is formed
+    # once, in gf, and no module keeps a check helper of its own
+    sources = sorted(Path(ffbinom.__file__).parent.rglob("*.py"))
+    texts = {path.name: path.read_text() for path in sources}
+    forming = {name: text.count("is not an element of") for name, text in texts.items() if "is not an element of" in text}
+    assert forming == {"gf.py": 1}, forming
+    retired = {"_check_element", "_check_shift", "_not_an_element", "_check_prime_elements"}
+    found = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, text in texts.items()
+        for node in ast.walk(ast.parse(text, name))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in retired
+    ]
+    assert not found, f"element checks outside FieldSpec.check_element: {found}"
+
+
 def _name_of(node):
     # the name that an attribute, a bare name or an import reads
     if isinstance(node, ast.Attribute):
