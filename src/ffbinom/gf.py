@@ -613,16 +613,16 @@ class FieldSpec:
 
     def add(self, a: Elt, b: Elt) -> Elt:
         if self.n == 1:
-            self.check_element(a, "a")
-            self.check_element(b, "b")
+            self.check_element(a)
+            self.check_element(b)
             return (a + b) % self.p
         # decode checks a and b
         return self.encode((ca + cb) % self.p for ca, cb in zip(self.decode(a), self.decode(b)))
 
     def sub(self, a: Elt, b: Elt) -> Elt:
         if self.n == 1:
-            self.check_element(a, "a")
-            self.check_element(b, "b")
+            self.check_element(a)
+            self.check_element(b)
             return (a - b) % self.p
         # decode checks a and b
         return self.encode((ca - cb) % self.p for ca, cb in zip(self.decode(a), self.decode(b)))
@@ -631,8 +631,8 @@ class FieldSpec:
         return self.sub(0, a)
 
     def mul(self, a: Elt, b: Elt) -> Elt:
-        self.check_element(a, "a")
-        self.check_element(b, "b")
+        self.check_element(a)
+        self.check_element(b)
         if self._exp is None:
             raise no_tables(self.q)
         if a == 0 or b == 0:
@@ -640,7 +640,7 @@ class FieldSpec:
         return int(self._exp[(self._log[a] + self._log[b]) % (self.q - 1)])
 
     def inv(self, a: Elt) -> Elt:
-        self.check_element(a, "a")
+        self.check_element(a)
         if self._exp is None:
             raise no_tables(self.q)
         if a == 0:
