@@ -58,7 +58,8 @@ def evaluate(field: FieldSpec, spec: BinomialSpec, x: Elt) -> Elt:
         return 0
     c = field.chi(x)
     factor = field.add(1, spec.u) if c == 1 else field.sub(1, spec.u)
-    return field.mul(field.pow(x, spec.r), factor)
+    # for u = +-1 the factor is 0 on half the field, where no power is needed
+    return field.mul(field.pow(x, spec.r), factor) if factor else 0
 
 
 def eval_table(field: FieldSpec, spec: BinomialSpec) -> np.ndarray:
