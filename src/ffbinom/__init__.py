@@ -14,6 +14,7 @@ from .diff import (
     diff_spectrum,
     dij_counts,
     locally_apn_check,
+    row_report,
 )
 from .family import (
     BinomialSpec,

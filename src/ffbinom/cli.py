@@ -72,7 +72,7 @@ def build_parser() -> _Parser:
     p_ver = sub.add_parser("verify", help="closed-form prediction vs brute-force oracle")
     p_ver.add_argument("--theorem", choices=predict.THEOREMS, required=True)
     p_ver.add_argument("--p", type=int, help="characteristic for a single field")
-    p_ver.add_argument("--n", type=int, default=1, help="extension degree (default 1)")
+    p_ver.add_argument("--n", type=int, help="extension degree (default 1)")
     p_ver.add_argument("--r", type=int, help="exponent (theorem du)")
     p_ver.add_argument("--qmax", type=int, help="verify all applicable fields up to this order")
     p_ver.set_defaults(func=_cmd_verify)
@@ -122,10 +122,7 @@ def _cmd_spectrum(parser, args) -> int:
     fld = make_field(args.p, args.n)
     spec = BinomialSpec(args.r, args.u % fld.p if args.u < 0 else args.u)
     if args.kind == "diff":
-        # the spectrum and the locally-APN flags read the same row
-        row = diff.delta_row(fld, spec)
-        spectrum = diff._row_spectrum(fld, row)
-        report = diff._row_locally_apn(fld, row)
+        spectrum, report = diff.row_report(fld, spec)
         _print_json(
             {
                 "q": fld.q,
@@ -169,11 +166,13 @@ def _cmd_verify(parser, args) -> int:
     if args.qmax is not None:
         if args.r is not None:
             parser.error("--r needs a single field (--p/--n), not --qmax")
+        if args.p is not None or args.n is not None:
+            parser.error("--qmax walks its own fields: drop --p/--n")
         fields, r = predict.fields_for(args.theorem, args.qmax), None
     elif args.p is None:
         parser.error("verify needs --p/--n or --qmax")
     else:
-        fields, r = [make_field(args.p, args.n)], args.r
+        fields, r = [make_field(args.p, 1 if args.n is None else args.n)], args.r
     reports = []
     for fld in fields:
         # du without an exponent runs every special exponent of the field

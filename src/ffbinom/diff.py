@@ -4,7 +4,9 @@ Everything is organized around the a = 1 difference row: delta(a, b) for
 general a reduces to a row lookup through the permutations b -> b/a^r and
 b -> b/((-1)^(r+1) a^r) when q = 3 (mod 4), so the full (a, b) table is
 never materialized.  Rows come from FieldSpec.shift_difference and splits
-by the class of x from FieldSpec.sij_table.
+by the class of x from FieldSpec.sij_table.  row_report is the one summary
+of the a = 1 row: its spectrum, uniformity and locally-APN flags, which
+diff_spectrum, locally_apn_check and every caller outside this module read.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ class LocallyApnReport:
     strict: bool  # delta(1, b) <= 2 for all b outside the prime subfield
     star: bool  # delta(1, b) <= 2 for all b != 0
     delta10: int  # delta(1, 0)
+    delta_max: int  # max delta(1, b) over b != 0
 
 
 @dataclass(slots=True)
@@ -74,18 +77,26 @@ def delta_ab(field: FieldSpec, spec: BinomialSpec, a: Elt, b: Elt) -> int:
     return int(np.count_nonzero(field.shift_difference(eval_table(field, spec), a) == b))
 
 
-def diff_spectrum(field: FieldSpec, spec: BinomialSpec) -> DiffSpectrum:
-    """Spectrum of the a = 1 row, with the identity checks folded in."""
-    return _row_spectrum(field, delta_row(field, spec))
-
-
-def _row_spectrum(field: FieldSpec, row: np.ndarray) -> DiffSpectrum:
+def row_report(field: FieldSpec, spec: BinomialSpec) -> tuple[DiffSpectrum, LocallyApnReport]:
+    """The a = 1 row's DiffSpectrum, with the identity checks folded in,
+    and its LocallyApnReport, both read from one delta_row."""
+    row = delta_row(field, spec)
     counts = np.bincount(row)
     omega = {int(i): int(counts[i]) for i in np.flatnonzero(counts)}
     # sum_i omega_i counts every b once, sum_i i*omega_i every x once
     if sum(omega.values()) != field.q or sum(i * c for i, c in omega.items()) != field.q:
         raise InvariantError(f"differential spectrum {omega} breaks sum omega_i = sum i*omega_i = q = {field.q}")
-    return DiffSpectrum(omega, int(row.max()))
+    delta10, delta_max = int(row[0]), int(row[1:].max(initial=0))
+    # b outside the prime subfield is nonzero, so star implies strict, and
+    # the rest of the row is read only when star fails
+    star = delta_max <= 2
+    strict = star or bool(row[field.p :].max(initial=0) <= 2)
+    return DiffSpectrum(omega, max(delta10, delta_max)), LocallyApnReport(strict, star, delta10, delta_max)
+
+
+def diff_spectrum(field: FieldSpec, spec: BinomialSpec) -> DiffSpectrum:
+    """Spectrum of the a = 1 row, with the identity checks folded in."""
+    return row_report(field, spec)[0]
 
 
 def dij_counts(field: FieldSpec, spec: BinomialSpec, b: Elt) -> DijCounts:
@@ -99,20 +110,13 @@ def dij_counts(field: FieldSpec, spec: BinomialSpec, b: Elt) -> DijCounts:
 
 
 def locally_apn_check(field: FieldSpec, spec: BinomialSpec) -> LocallyApnReport:
-    """Both locally-APN predicates plus delta(1, 0).
+    """Both locally-APN predicates plus delta(1, 0) and the row's maximum
+    off b = 0.
 
     strict restricts b to F_q minus the prime subfield; star is the stronger
     all-nonzero-b form.
     """
-    return _row_locally_apn(field, delta_row(field, spec))
-
-
-def _row_locally_apn(field: FieldSpec, row: np.ndarray) -> LocallyApnReport:
-    return LocallyApnReport(
-        strict=bool(row[field.p :].max(initial=0) <= 2),
-        star=bool(row[1:].max(initial=0) <= 2),
-        delta10=int(row[0]),
-    )
+    return row_report(field, spec)[1]
 
 
 def d00_condition(field: FieldSpec, r: int) -> CollisionReport:

@@ -672,16 +672,6 @@ class FieldSpec:
     def minus_one(self) -> Elt:
         return self.p - 1
 
-    def sij_classify(self, x: Elt) -> SijClass:
-        """Class of x under the (chi(x), chi(x+1)) sign partition."""
-        if x == 0:
-            return SijClass.ZERO
-        if x == self.minus_one:
-            return SijClass.MINUS_ONE
-        i = 0 if self.chi(x) == 1 else 1
-        j = 0 if self.chi(self.add(x, 1)) == 1 else 1
-        return SijClass[f"S{i}{j}"]
-
     def sij_sizes(self) -> dict[SijClass, int]:
         """Exhaustive class counts over the whole field."""
         counts = np.bincount(self.sij_table, minlength=5).tolist()

@@ -157,12 +157,8 @@ class _Theorem:
 
 
 def _du_oracle(field: FieldSpec, spec: BinomialSpec) -> dict:
-    # the uniformity and the locally-APN flag read the same difference row
-    row = diff.delta_row(field, spec)
-    return {
-        "delta": diff._row_spectrum(field, row).uniformity,
-        "locally_apn_star": diff._row_locally_apn(field, row).star,
-    }
+    spectrum, report = diff.row_report(field, spec)
+    return {"delta": spectrum.uniformity, "locally_apn_star": report.star}
 
 
 def _diff_oracle(field: FieldSpec, spec: BinomialSpec) -> dict:

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 from . import diff, family
 from .boom import boom_spectrum
-from .errors import BadRangeError, WrongResidueError
+from .errors import BadRangeError, FFBinomError, WrongResidueError
 from .family import BinomialSpec
 from .gf import FieldSpec, make_field
 
@@ -103,9 +103,8 @@ def _scan_chunk(p: int, n: int, lo: int, hi: int, r_min: int, r_max: int) -> lis
         delta10 = delta_max = beta_max = None
         if cond.holds:
             spec = BinomialSpec(rid, 1)
-            row = diff.delta_row(fld, spec)
-            delta10 = int(row[0])
-            delta_max = int(row[1:].max(initial=0))
+            report = diff.row_report(fld, spec)[1]
+            delta10, delta_max = report.delta10, report.delta_max
             beta_max = boom_spectrum(fld, spec).uniformity
         results.append(
             ScanResult(
@@ -127,12 +126,14 @@ def scan_exponents(field: FieldSpec, r_min: int, r_max: int, jobs: int = 1) -> l
     field must have q = 3 (mod 4), the theorem's setting, where the a = 1
     row holds every shift's maximum; on q = 1 (mod 4) another row can be
     higher (on F_13 with r = 2, beta(1, b) stays 0 while beta reaches 4), so
-    WrongResidueError is raised there.
+    WrongResidueError is raised there, and FFBinomError for jobs < 1.
     """
     if field.q % 4 != 3:
         raise WrongResidueError(f"scan needs q = 3 (mod 4), got q = {field.q}")
     if not 1 <= r_min <= r_max < field.q - 1:
         raise BadRangeError(f"need 1 <= r_min <= r_max < q-1, got [{r_min}, {r_max}]")
+    if jobs < 1:
+        raise FFBinomError(f"need jobs >= 1, got {jobs}")
     p, n = field.p, field.n
     # a process pool forks all its workers at the first submit
     jobs = min(jobs, os.cpu_count() or 1)

@@ -3,11 +3,12 @@
 These deliberately avoid the vectorized table paths: field arithmetic goes
 through the table-free raw_mul and pow_slow below (polynomial products mod
 the field's modulus, and square-and-multiply), through FieldSpec's scalar
-methods one element at a time (naive_dij_counts, naive_d00_condition) or,
-in bulk, through the base-p digits of the encodings, and the prime field
-variants below use nothing but Python integers.  pair_key_beta_count is
-the exception: it runs on the library's value table and bulk arithmetic,
-with the boomerang count that the library replaced by its (D, F) keys.
+methods one element at a time (sij_classify, naive_dij_counts,
+naive_d00_condition) or, in bulk, through the base-p digits of the
+encodings, and the prime field variants below use nothing but Python
+integers.  pair_key_beta_count is the exception: it runs on the library's
+value table and bulk arithmetic, with the boomerang count that the library
+replaced by its (D, F) keys.
 """
 
 from collections import Counter
@@ -111,12 +112,24 @@ def naive_shift_difference(field: FieldSpec, values, a: int) -> list[int]:
     return [field.sub(int(values[field.add(x, a)]), int(values[x])) for x in field.elements()]
 
 
+def sij_classify(field: FieldSpec, x: int) -> SijClass:
+    """Class of x under the (chi(x), chi(x+1)) sign partition, by scalar
+    field.chi and field.add; the reference for FieldSpec.sij_table."""
+    if x == 0:
+        return SijClass.ZERO
+    if x == field.minus_one:
+        return SijClass.MINUS_ONE
+    i = 0 if field.chi(x) == 1 else 1
+    j = 0 if field.chi(field.add(x, 1)) == 1 else 1
+    return SijClass[f"S{i}{j}"]
+
+
 def naive_dij_counts(field: FieldSpec, spec: BinomialSpec, b: int) -> DijCounts:
-    """Solutions of F(x+1) - F(x) = b tallied by FieldSpec.sij_classify,
-    one scalar evaluation and subtraction per x; the reference for
+    """Solutions of F(x+1) - F(x) = b tallied by sij_classify above, one
+    scalar evaluation and subtraction per x; the reference for
     diff.dij_counts."""
     fv = [evaluate(field, spec, x) for x in field.elements()]
-    tally = Counter(field.sij_classify(x) for x in field.elements() if field.sub(fv[field.add(x, 1)], fv[x]) == b)
+    tally = Counter(sij_classify(field, x) for x in field.elements() if field.sub(fv[field.add(x, 1)], fv[x]) == b)
     return DijCounts(
         tally[SijClass.S00], tally[SijClass.S01], tally[SijClass.S10], tally[SijClass.S11],
         tally[SijClass.ZERO] + tally[SijClass.MINUS_ONE],

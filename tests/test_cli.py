@@ -201,6 +201,9 @@ def test_usage_errors_exit_1(capsys):
         (["spectrum", "boom", "--p", "11", "--r", "-2"], "exponent must be >= 1, got -2"),
         (["spectrum", "boom", "--p", "11", "--r", "3", "--u", "11"], "u = 11 is not an element of F_11"),
         (["verify", "--theorem", "du", "--p", "11", "--r", "0"], "exponent must be >= 1, got 0"),
+        # a worker count below 1 used to run serially and exit 0
+        (["scan", "--p", "3", "--n", "3", "--rmax", "5", "--jobs", "0"], "need jobs >= 1, got 0"),
+        (["scan", "--p", "3", "--n", "3", "--rmax", "5", "--jobs", "-3"], "need jobs >= 1, got -3"),
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
@@ -210,10 +213,13 @@ def test_usage_errors_exit_1(capsys):
 
 def test_verify_r_only_for_du_on_one_field(capsys):
     # --r used to be ignored: ds-f3 printed its r = 3 report and exited 0,
-    # and du with --qmax ran every special exponent of each field
+    # and du with --qmax ran every special exponent of each field; --p and
+    # --n with --qmax were dropped the same way, and the whole sweep ran
     for argv, message in (
         (["verify", "--theorem", "ds-f3", "--p", "23", "--r", "5"], "theorem 'ds-f3' fixes its own exponent"),
         (["verify", "--theorem", "du", "--qmax", "20", "--r", "5"], "--r needs a single field"),
+        (["verify", "--theorem", "ds-f3", "--p", "23", "--qmax", "50"], "--qmax walks its own fields: drop --p/--n"),
+        (["verify", "--theorem", "ds-f3", "--n", "1", "--qmax", "50"], "--qmax walks its own fields: drop --p/--n"),
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -14,12 +15,13 @@ from ffbinom.diff import (
     diff_spectrum,
     dij_counts,
     locally_apn_check,
+    row_report,
 )
 from ffbinom.errors import FFBinomError, InvariantError, UnsupportedUError, ZeroShiftError
 from ffbinom.family import BinomialSpec, eval_table, table1_exponents
 from ffbinom.gf import make_field
 
-from naive_oracles import prime_delta_row, prime_spectrum
+from naive_oracles import naive_delta_row, pow_slow, prime_delta_row, prime_spectrum
 
 
 def test_delta_row_f11_cube():
@@ -327,6 +329,48 @@ def test_locally_apn_strict_vs_star():
     report = locally_apn_check(f, BinomialSpec(14, 1))
     assert not report.star
     assert report.strict
+
+
+@pytest.mark.parametrize("p,n", [(11, 1), (13, 1), (3, 3), (5, 2), (7, 2)])
+def test_row_report_matches_naive_row(p, n):
+    # every field of the a = 1 row summary against the brute-force row, with
+    # the prime subfield found as the fixed points of x -> x^p
+    f = make_field(p, n)
+    subfield = {b for b in f.elements() if pow_slow(f, b, p) == b}
+    flags = set()
+    for r in (1, 2, 3, 5, (f.q + 1) // 2):
+        for u in (1, f.minus_one, 0):
+            spec = BinomialSpec(r, u)
+            naive = naive_delta_row(f, spec)
+            row = [naive[b] for b in f.elements()]
+            spectrum, report = row_report(f, spec)
+            assert spectrum.omega == dict(Counter(row))
+            assert spectrum.uniformity == max(row)
+            assert report.delta10 == row[0]
+            assert report.delta_max == max(row[1:])
+            assert report.star == (report.delta_max <= 2)
+            assert report.strict == all(c <= 2 for b, c in enumerate(row) if b not in subfield)
+            assert diff_spectrum(f, spec) == spectrum and locally_apn_check(f, spec) == report
+            flags.add((report.strict, report.star))
+    # star holds and fails on every field, strict fails only where b can
+    # leave the prime subfield
+    assert {(True, True), (True, False)} <= flags
+    assert ((False, False) in flags) == (n > 1)
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 3)])
+def test_row_report_prime_subfield_boundary(monkeypatch, p, n):
+    # the constants are the encodings below p: a 3 at b = p - 1 leaves
+    # strict standing, a 3 at b = p breaks it; the rest of the mass sits on
+    # b = 0, so both rows keep sum omega_i = sum i*omega_i = q
+    f = make_field(p, n)
+    for b, strict in ((p - 1, True), (p, False)):
+        row = np.zeros(f.q, dtype=np.int64)
+        row[b], row[0] = 3, f.q - 3
+        monkeypatch.setattr(diff, "delta_row", lambda field, spec: row.copy())
+        spectrum, report = row_report(f, BinomialSpec(3, 1))
+        assert spectrum == diff.DiffSpectrum({0: f.q - 2, 3: 1, f.q - 3: 1}, f.q - 3)
+        assert report == diff.LocallyApnReport(strict, False, f.q - 3, 3)
 
 
 def test_d00_condition():

@@ -293,10 +293,12 @@ def test_result_records_are_slotted():
         diff.d00_condition(f, 3),
         bijkl_counts(f, spec, 2),
         charsum.gamma(f),
+        *diff.row_report(f, spec),
     ]
     assert [type(x).__name__ for x in results] == [
         "VerifyReport", "DuPrediction", "DiffSpectrum", "DijCounts",
         "LocallyApnReport", "CollisionReport", "BijklCounts", "CharSumResult",
+        "DiffSpectrum", "LocallyApnReport",
     ]
     for x in results:
         assert not hasattr(x, "__dict__"), type(x).__name__

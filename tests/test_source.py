@@ -95,3 +95,27 @@ def test_block_rule_and_pair_kernels_live_in_gf_only():
         if node.module == "gf" or alias.name == "gf"
     ]
     assert from_gf and all(not name.startswith("_") and name != "gf" for name in from_gf), from_gf
+
+
+def test_delta_rows_are_summarized_in_diff_only():
+    # diff.row_report is the one summary of the a = 1 row: no other module
+    # reads a private name of diff; and FieldSpec keeps no scalar copy of
+    # sij_table, whose reference sij_classify is a test oracle
+    sources = sorted(Path(ffbinom.__file__).parent.rglob("*.py"))
+    assert any(path.name == "diff.py" for path in sources)
+    found = []
+    for path in sources:
+        if path.name == "diff.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "diff"
+                and node.attr.startswith("_")
+            ):
+                found.append(f"{path.name}:{node.lineno} diff.{node.attr}")
+            if isinstance(node, ast.ImportFrom) and node.module in ("diff", "ffbinom.diff"):
+                found += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name.startswith("_")]
+    assert not found, f"diff internals read outside diff: {found}"
+    assert not hasattr(ffbinom.FieldSpec, "sij_classify")
