@@ -178,6 +178,8 @@ def _cmd_verify(parser, args) -> int:
         # du without an exponent runs every special exponent of the field
         if args.theorem == "du" and r is None:
             rs = [fam.r for fam in family.table1_exponents(fld)]
+            if not rs:
+                parser.error(f"q = {fld.q} is not 3 mod 4: theorem 'du' has no special exponent to verify")
         else:
             rs = [r]
         reports += [predict.verify(fld, args.theorem, ri) for ri in rs]

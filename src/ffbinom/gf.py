@@ -42,8 +42,8 @@ of a value table: on F_p two slice differences of the table, since x + a
 rotates the index, and on F_{p^n} a gather and a Zech subtraction.  Two
 kernels histogram pair differences: run_diff_hist over the pairs inside
 runs of an array (the boomerang profile's small classes) and
-outer_diff_hist over all pairs of one array (its large classes).  Both bin
-with bincount, the first bincount being the accumulator.  run_diff_hist
+outer_diff_hist over all pairs of one array (its large classes).  Each
+counts into one q-long int64 histogram with np.add.at.  run_diff_hist
 forms only the pairs i < j and folds the histogram onto its negation, on
 F_p as b -> q - b and on F_{p^n} by negating every base-p digit.
 
@@ -56,8 +56,8 @@ lazy Zech and class tables follow it.  Up to _BUILD_CHUNK elements a pass
 is one call: the F_p sums and the products run their block kernel once,
 while power_table, shift_difference, the Zech sum and the lazy tables keep
 whole-array calls that measured faster there, or, for the tables, kept the
-heap's layout (see sij_table).  The pair kernels bin about _PAIR_CHUNK
-differences per bincount.
+heap's layout (see sij_table).  The pair kernels add about _PAIR_CHUNK
+differences to their histogram per pass.
 """
 
 from __future__ import annotations
@@ -90,9 +90,9 @@ def no_tables(q: int) -> FFBinomError:
 # many elements (_blocks), so their scratch is one block, not q-long.
 _BUILD_CHUNK = 1 << 16
 
-# Differences per pass of the pair-difference kernels (outer_diff_hist and
-# run_diff_hist), which bounds their temporaries: on F_{p^n} a difference
-# takes a few int64 words of Zech-logarithm scratch.
+# Differences added per pass to the histogram of a pair-difference kernel
+# (outer_diff_hist and run_diff_hist), which bounds their temporaries: on
+# F_{p^n} a difference takes a few int64 words of Zech-logarithm scratch.
 _PAIR_CHUNK = 1 << 20
 
 _MAX_ORDER = 1 << 63
@@ -184,19 +184,6 @@ def _pooled(pieces, size: int):
         joined = np.concatenate(pending)
         del pending
         yield joined
-
-
-def _summed(histograms):
-    # the sum of q-long histograms, the first one the accumulator, each
-    # dropped once added, so at most two are live; None for none
-    total = None
-    for hist in histograms:
-        if total is None:
-            total = hist
-        else:
-            total += hist
-        del hist
-    return total
 
 
 def is_prime(m: int) -> bool:
@@ -990,13 +977,20 @@ class FieldSpec:
         x and x + 1 lie in one run (so same[-1] is False).  Only the pairs
         i < j are formed (_run_pair_diffs), and one of each pair's two
         differences is binned: the other is its negation, so the histogram is
-        h(b) + h(-b), plus one zero difference per value for i = j.  The
-        first bincount is the accumulator.  On F_p, -b is q - b, and the fold
-        adds the two halves of h to each other in place.
+        h(b) + h(-b), plus one zero difference per value for i = j.  h is
+        one int64 histogram, which each pooled piece of differences is added
+        to with np.add.at.  On F_p, -b is q - b, and the fold adds the two
+        halves of h to each other in place.
         """
         q, n = self.q, self.n
-        pieces = _pooled(self._run_pair_diffs(values, same), _PAIR_CHUNK)
-        half = _summed(np.bincount(diffs, minlength=q) for diffs in pieces)
+        half = None
+        for diffs in _pooled(self._run_pair_diffs(values, same), _PAIR_CHUNK):
+            if half is None:
+                # made once the first piece is, so it is not live beside the
+                # pair generator's q-long first positions and values
+                half = np.zeros(q, dtype=np.int64)
+            np.add.at(half, diffs, 1)
+            del diffs  # the last piece would live on through the fold's copy
         if half is None:
             half = np.zeros(q, dtype=np.int64)
         if n == 1:
@@ -1046,16 +1040,14 @@ class FieldSpec:
 
         Returns a length-q count array indexed by the encoded difference.
         With k distinct values of multiplicities m, a k*k <= q input is
-        histogrammed over its k^2 ordered pairs of distinct values, each
-        difference weighted by m_i * m_j.  The first float64 bincount is the
-        accumulator, converted to int64 in its own buffer; float64 weights
-        are exact, since no bin exceeds len(values)**2 <= q^2 < 2^53.
-        Otherwise the histogram is the autocorrelation of the multiplicity
-        array on the additive group (Z/p)^n, by FFT in O(q log q): in C order
-        the base-p encoding is exactly an array of shape (p,)*n, on which
-        field addition is a cyclic shift per axis, and a bin off an integer
-        by more than 0.25 raises InvariantError.  On either path a total
-        other than len(values)**2 raises InvariantError.
+        histogrammed over its k^2 ordered pairs of distinct values: each
+        difference adds the int64 weight m_i * m_j to one histogram, with
+        np.add.at.  Otherwise the histogram is the autocorrelation of the
+        multiplicity array on the additive group (Z/p)^n, by FFT in
+        O(q log q): in C order the base-p encoding is exactly an array of
+        shape (p,)*n, on which field addition is a cyclic shift per axis, and
+        a bin off an integer by more than 0.25 raises InvariantError.  On
+        either path a total other than len(values)**2 raises InvariantError.
         """
         m = len(values)
         if m == 0:
@@ -1065,20 +1057,12 @@ class FieldSpec:
         k = len(distinct)
         if k * k <= self.q:
             mult = counts[distinct]
-            del counts  # q-long, like each bincount below
+            del counts  # q-long, like the histogram
+            hist = np.zeros(self.q, dtype=np.int64)
             rows = max(1, _PAIR_CHUNK // k)
-            exact = _summed(
-                np.bincount(
-                    self.sub_arrays(distinct[lo : lo + rows, None], distinct).ravel(),
-                    (mult[lo : lo + rows, None] * mult).ravel(),
-                    minlength=self.q,
-                )
-                for lo in range(0, k, rows)
-            )
-            # int64 in place, through an int64 view of the float64 buffer:
-            # numpy copies 1-d arrays of equal strides element by element
-            hist = exact.view(np.int64)
-            np.copyto(hist, exact, casting="unsafe")
+            for lo in range(0, k, rows):
+                diffs = self.sub_arrays(distinct[lo : lo + rows, None], distinct)
+                np.add.at(hist, diffs.ravel(), (mult[lo : lo + rows, None] * mult).ravel())
         else:
             shape = (self.p,) * self.n
             axes = tuple(range(self.n))

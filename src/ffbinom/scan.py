@@ -160,10 +160,16 @@ def scan_exponents(field: FieldSpec, r_min: int, r_max: int, jobs: int = 1) -> l
 
 
 def default_jobs() -> int:
+    """The worker count in $FFBINOM_JOBS, 1 when it is unset; FFBinomError
+    for a value that is not a positive integer."""
+    value = os.environ.get("FFBINOM_JOBS", "1")
     try:
-        return max(1, int(os.environ.get("FFBINOM_JOBS", "1")))
+        jobs = int(value)
     except ValueError:
-        return 1
+        jobs = 0
+    if jobs < 1:
+        raise FFBinomError(f"FFBINOM_JOBS must be a positive integer, got {value!r}")
+    return jobs
 
 
 def write_jsonl(results: list[ScanResult], path: str) -> None:

@@ -191,6 +191,19 @@ def test_verify_du_loops_families(capsys):
     assert all(rep["match"] for rep in reports)
 
 
+def test_verify_du_without_special_exponent_exits_1(capsys):
+    # with q = 1 (mod 4) no special exponent applies: the run used to print
+    # [] and exit 0 having verified nothing
+    for argv in (["--p", "5"], ["--p", "3", "--n", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--theorem", "du", *argv])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert "is not 3 mod 4: theorem 'du' has no special exponent" in captured.err and captured.out == ""
+    code, out = run_cli(capsys, "verify", "--theorem", "du", "--p", "7")
+    assert code == 0 and json.loads(out)
+
+
 def test_usage_errors_exit_1(capsys):
     for argv, message in (
         (["spectrum", "diff", "--p", "11"], "the following arguments are required: --r"),
@@ -330,6 +343,17 @@ def test_scan_cli_rejects_q_1_mod_4(capsys):
     assert exc.value.code == 1
     captured = capsys.readouterr()
     assert "q = 3 (mod 4)" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("value", ["junk", "0", "-4"])
+def test_scan_cli_rejects_bad_jobs_env(capsys, monkeypatch, value):
+    # such a value used to run serially and exit 0
+    monkeypatch.setenv("FFBINOM_JOBS", value)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scan", "--p", "3", "--n", "3", "--rmin", "2", "--rmax", "5"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert f"error: FFBINOM_JOBS must be a positive integer, got {value!r}" in captured.err and captured.out == ""
 
 
 def test_scan_cli_out_file(capsys, tmp_path):

@@ -635,6 +635,22 @@ def test_outer_diff_hist_largest_boomerang_class():
     assert (f.outer_diff_hist(vals) == pairwise_diff_hist(f, vals)).all()
 
 
+@pytest.mark.parametrize("p,n", [(100003, 1), (3, 11)])
+def test_outer_diff_hist_large_multiplicities(p, n):
+    # two values a and b, m = q/8 times each, like the zero-difference class
+    # of u = +-1: m^2 ordered pairs give each of a - b and b - a, and 2m^2
+    # give 0
+    f = make_field(p, n)
+    m = f.q // 8
+    a, b = 5, f.minus_one
+    hist = f.outer_diff_hist(np.repeat(np.array([a, b], dtype=np.int64), m))
+    expected = np.zeros(f.q, dtype=np.int64)
+    expected[0] = 2 * m * m
+    expected[f.sub(a, b)] = expected[f.sub(b, a)] = m * m
+    assert hist.dtype == np.int64
+    assert np.array_equal(hist, expected)
+
+
 @pytest.mark.parametrize("p,n", [(1019, 1), (7, 3), (3, 6)])
 def test_outer_diff_hist_distinct_value_path(monkeypatch, p, n):
     # k = floor(sqrt(q)) distinct values take the pair path, one more takes
@@ -661,14 +677,14 @@ def test_outer_diff_hist_distinct_value_path(monkeypatch, p, n):
 
 
 def test_outer_diff_hist_guards_pair_total(monkeypatch):
-    # one pair too many from the weighted bincount of the distinct-value path
+    # one value too many from the multiplicity bincount, which the
+    # distinct-value path histograms
     f = make_field(3, 3)
     bincount = np.bincount
 
     def corrupted(*args, **kwargs):
         out = bincount(*args, **kwargs)
-        if len(args) > 1 or "weights" in kwargs:
-            out[1] += 1
+        out[1] += 1
         return out
 
     monkeypatch.setattr(np, "bincount", corrupted)

@@ -90,9 +90,9 @@ def test_extension_field_peaks_3_11(peak_arrays, name, bound):
 @pytest.mark.parametrize("p,n", [(100003, 1), (3, 11)])
 def test_outer_diff_hist_pair_path_peak(peak_arrays, p, n):
     # a class of about q/4 members with two distinct values, like the
-    # zero-difference class of u = +-1: the first bincount is the
-    # accumulator and becomes int64 in its own buffer (2.00 with a float
-    # accumulator and an int64 copy)
+    # zero-difference class of u = +-1: the multiplicity bincount is freed
+    # before the one int64 histogram is made (2.00 with a float accumulator
+    # and an int64 copy)
     f = make_field(p, n)
     values = np.tile(np.array([0, f.minus_one], dtype=np.int64), f.q // 8)
     _check_peak(peak_arrays, f.q, lambda: f.outer_diff_hist(values), 1.3)
@@ -101,9 +101,10 @@ def test_outer_diff_hist_pair_path_peak(peak_arrays, p, n):
 @pytest.mark.parametrize("p,n", [(100003, 1), (3, 11)])
 def test_run_diff_hist_peak(peak_arrays, monkeypatch, p, n):
     # runs of two among singletons, binned _PAIR_CHUNK = 2^12 differences at
-    # a time: the histogram and one bincount are live at once, next to the
-    # pairs' first positions and values (a third of an array each); 3.75
-    # with each bincount kept until the next one was made
+    # a time: one histogram, next to the pairs' first positions and values (a
+    # third of an array each) and the fold's copy on F_{p^n}; 2.75 when each
+    # piece had its own bincount, 3.75 with each kept until the next one was
+    # made.  test_run_diff_hist_one_histogram holds the tighter bound
     monkeypatch.setattr(gf, "_PAIR_CHUNK", 1 << 12)
     f = make_field(p, n)
     q = f.q
@@ -112,3 +113,19 @@ def test_run_diff_hist_peak(peak_arrays, monkeypatch, p, n):
     same[::3] = True
     same[-1] = False
     _check_peak(peak_arrays, q, lambda: f.run_diff_hist(values, same), 3.0)
+
+
+@pytest.mark.parametrize("p,n", [(100003, 1), (3, 11)])
+def test_run_diff_hist_one_histogram(peak_arrays, monkeypatch, p, n):
+    # the inputs of test_run_diff_hist_peak: every piece is added to one
+    # int64 histogram, made after the first piece, and the last piece is
+    # dropped before the fold (1.79 and 2.01; 2.75 and 2.74 with a q-long
+    # bincount per piece beside the histogram)
+    monkeypatch.setattr(gf, "_PAIR_CHUNK", 1 << 12)
+    f = make_field(p, n)
+    q = f.q
+    values = np.random.default_rng(q).integers(0, q, q)
+    same = np.zeros(q, dtype=bool)
+    same[::3] = True
+    same[-1] = False
+    _check_peak(peak_arrays, q, lambda: f.run_diff_hist(values, same), 2.3)

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from ffbinom.boom import beta_ab, beta_row
-from ffbinom.errors import BadRangeError, WrongResidueError
+from ffbinom.errors import BadRangeError, FFBinomError, WrongResidueError
 from ffbinom.family import BinomialSpec, table1_exponents
 from ffbinom.gf import make_field
 from ffbinom.scan import orbit, orbit_id, scan_exponents, write_jsonl
@@ -179,8 +179,10 @@ def test_default_jobs_env(monkeypatch):
     assert default_jobs() == 1
     monkeypatch.setenv("FFBINOM_JOBS", "4")
     assert default_jobs() == 4
-    monkeypatch.setenv("FFBINOM_JOBS", "junk")
-    assert default_jobs() == 1
+    for value in ("junk", "0", "-4", ""):
+        monkeypatch.setenv("FFBINOM_JOBS", value)
+        with pytest.raises(FFBinomError, match="FFBINOM_JOBS"):
+            default_jobs()
 
 
 def test_write_jsonl_appends(tmp_path):

@@ -119,3 +119,27 @@ def test_delta_rows_are_summarized_in_diff_only():
                 found += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name.startswith("_")]
     assert not found, f"diff internals read outside diff: {found}"
     assert not hasattr(ffbinom.FieldSpec, "sij_classify")
+
+
+def test_pair_kernels_count_into_one_int64_histogram():
+    # run_diff_hist and outer_diff_hist add to one int64 histogram each with
+    # np.add.at: no helper sums q-long histograms, and no bincount in gf
+    # counts in float64 weights
+    sources = sorted(Path(ffbinom.__file__).parent.rglob("*.py"))
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sources}
+    assert "gf.py" in trees
+    defined = [
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "_summed"
+    ]
+    assert not defined, f"_summed defined in the library: {defined}"
+    weighted = [
+        f"gf.py:{node.lineno}"
+        for node in ast.walk(trees["gf.py"])
+        if isinstance(node, ast.Call)
+        and _name_of(node.func) == "bincount"
+        and (len(node.args) > 1 or any(kw.arg == "weights" for kw in node.keywords))
+    ]
+    assert not weighted, f"weighted bincount in gf: {weighted}"
