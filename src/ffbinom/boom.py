@@ -5,13 +5,14 @@ D(x) = F(x+a) - F(x), the shift row of FieldSpec.shift_difference, and one
 builder, _diff_keys, makes them in the row's own buffer.  A pair (x, y)
 solves F(x) - F(y) = b, F(x+a) - F(y+a) = b iff D(x) = D(y) and
 F(y) = F(x) - b, that is iff y's key equals x's target
-D(x) << 24 | (F(x) - b).  beta_row and beta_ab sort the keys in place and
-count the equal pairs by searchsorted, with no np.unique and no scattered
-queries.  A target is a function of its key alone, so they take the
-targets from the sorted keys one block at a time, and no q-long target
-array exists.  bijkl_counts needs each target next to the class of x
-(FieldSpec.sij_table): it builds them block by block in the value table's
-buffer, sorts them and searches them one block at a time.
+D(x) << 24 | (F(x) - b).  beta_row, beta_ab and bijkl_counts sort the
+keys in place and count the equal pairs in one loop, _match_counts, by
+searchsorted, with no np.unique and no scattered queries.  A target is a
+function of its key alone, so the loop takes the targets from the sorted
+keys one block at a time, and no q-long target array exists.  bijkl_counts
+splits the pairs by the classes of x and y (FieldSpec.sij_table): one sort
+of the keys tagged with their class codes leaves each class a sorted slice,
+and the loop runs once per class of x against the slices of every class.
 
 beta_profile sorts the keys alone, which groups x by D(x) and turns the
 whole b-profile into per-group pair-difference histograms; the sorted
@@ -23,10 +24,10 @@ members for locally-APN inputs, but with u = +-1 only one or two distinct
 values.
 
 No count holds more than about two live q-long arrays (the value table and
-the keys, or the keys and the targets) plus one block of scratch.  For that
-this module uses two internals of gf: gf._blocks cuts its searchsorted
-passes into blocks, and FieldSpec._sub_into forms F - b in place, where
-sub_arrays would hold one more block.
+the keys, or the keys and the sorted differences) plus one block of
+scratch.  For that this module uses two internals of gf: gf._blocks cuts
+its searchsorted passes into blocks, and FieldSpec._sub_into forms F - b in
+place, where sub_arrays would hold one more block.
 """
 
 from __future__ import annotations
@@ -90,27 +91,23 @@ def _diff_keys(field: FieldSpec, fv: np.ndarray, a: Elt) -> np.ndarray:
     return keys
 
 
-def _targets(field: FieldSpec, keys: np.ndarray, b: Elt) -> np.ndarray:
-    # the target of each key of a block, D << 24 | (F - b): the key with
-    # F - b in place of its low bits F, as a new array
-    targets = np.bitwise_and(keys, _LOW)
-    field._sub_into(targets, b, targets)
-    targets |= np.bitwise_and(keys, ~_LOW)
-    return targets
-
-
-def _rank_sums(keys: np.ndarray, queries: np.ndarray, bounds) -> np.ndarray:
-    # for each segment queries[lo:hi] between consecutive bounds, the sum
-    # over its queries t of #{keys < t}, searched one block of queries at a
-    # time.  keys are sorted and so is each segment, so neighbouring binary
-    # searches read the same cache lines
-    sums = np.zeros(len(bounds) - 1, dtype=np.int64)
-    for lo, hi in gf._blocks(len(queries)):
-        ranks = np.searchsorted(keys, queries[lo:hi])
-        cuts = np.clip(bounds, lo, hi) - lo
-        sums += [ranks[start:end].sum() for start, end in zip(cuts[:-1], cuts[1:])]
-        del ranks  # before the next block's are allocated
-    return sums
+def _match_counts(field: FieldSpec, xs: np.ndarray, yss, b: Elt) -> list[int]:
+    """For each sorted key array ys of yss, the pairs (x, y) whose key in ys
+    equals the target D << 24 | (F - b) of a key D << 24 | F of xs: the one
+    key-matching loop of every count here.  A target is a function of its
+    key alone, so each block of xs gives its targets once, the key with
+    F - b in place of its low bits, and no target array longer than a block
+    exists; the keys of ys equal to a target t are those up to t and not
+    below t."""
+    counts = [0] * len(yss)
+    for lo, hi in gf._blocks(len(xs)):
+        block = xs[lo:hi]
+        targets = np.bitwise_and(block, _LOW)
+        field._sub_into(targets, b, targets)
+        targets |= np.bitwise_and(block, ~_LOW)
+        for i, ys in enumerate(yss):
+            counts[i] += int(np.searchsorted(ys, targets, "right").sum()) - int(np.searchsorted(ys, targets, "left").sum())
+    return counts
 
 
 def beta_row(field: FieldSpec, spec: BinomialSpec, b: Elt) -> int:
@@ -208,64 +205,38 @@ def beta_ab(field: FieldSpec, spec: BinomialSpec, a: Elt, b: Elt) -> int:
     row checks a): beta_row's sorted keys and their targets, with
     D(x) = F(x+a) - F(x)."""
     field.check_element(b, "b")
-    # x's target is a function of x's key alone, so the sorted keys give the
-    # targets one block at a time and no q-long target array is built; the
-    # keys equal to a target t are those up to t and not below t
     keys = _diff_keys(field, eval_table(field, spec), a)
     keys.sort()
-    count = 0
-    for lo, hi in gf._blocks(field.q):
-        targets = _targets(field, keys[lo:hi], b)
-        count += int(np.searchsorted(keys, targets, "right").sum())
-        count -= int(np.searchsorted(keys, targets, "left").sum())
-    return count
+    return _match_counts(field, keys, [keys], b)[0]
 
 
 def bijkl_counts(field: FieldSpec, spec: BinomialSpec, b: Elt) -> BijklCounts:
     """Solutions of the a = 1 system partitioned by (class(x), class(y)).
 
-    The same keys and targets as beta_row, matched by sorted queries, with
-    the targets built and tagged block by block in the value table's
-    buffer.  The keys are tagged as key * 5 + y's sij_table code and sorted
-    once.  The targets are tagged with x's code above their 48 key bits, so
-    one sort groups them by the class of x, each class in target order.
-    Past that tag, the matches of class c of y lie between the queries
-    target * 5 + c and target * 5 + c + 1: six searchsorted passes, one per
-    bound, give every class of y, summed per class of x into a 5 x 5 grid
-    whose row and column 4 are the boundary."""
+    beta_row's keys, each tagged with its sij_table code above its 48 key
+    bits, block by block, and sorted once: that sorts them by class and,
+    inside a class, by key.  With the tags stripped again, the five classes
+    are sorted slices of one array, cut where bincount of the codes says,
+    and the pairs of class cx of x and cy of y are the matches of the keys
+    of cy against the targets of cx (_match_counts, one call per class of
+    x).  Row and column 4 of that 5 x 5 grid, x or y in {0, -1}, are the
+    boundary."""
     field.check_element(b, "b")
     if spec.u not in (1, field.minus_one):
         raise UnsupportedUError("class decomposition requires u = +-1")
     if b == 0:
         raise FFBinomError("b must be nonzero")
     codes = field.sij_table
-    targets = eval_table(field, spec)
-    keys = _diff_keys(field, targets, 1)
+    keys = _diff_keys(field, eval_table(field, spec), 1)
     for lo, hi in gf._blocks(field.q):
-        # F(x) of the block becomes x's target D << 24 | (F - b) in place,
-        # and then takes x's code above its 48 bits
-        block = targets[lo:hi]
-        field._sub_into(block, b, block)
-        high = np.bitwise_and(keys[lo:hi], ~_LOW)
-        block |= high
-        np.copyto(high, codes[lo:hi])
-        high <<= 2 * _KEY_BITS
-        block |= high
-        del high  # before the next block's scratch is allocated
-    keys *= 5
-    keys += codes
+        tags = codes[lo:hi].astype(np.int64)
+        tags <<= 2 * _KEY_BITS
+        keys[lo:hi] |= tags
+        del tags  # before the next block's are allocated
     keys.sort()
-    targets.sort()
-    bounds = np.searchsorted(targets, np.arange(6, dtype=np.int64) << 2 * _KEY_BITS)
-    targets &= (1 << 2 * _KEY_BITS) - 1
-    targets *= 5
-    # ranks[c, cx]: over x of class cx, the keys below x's query
-    # target * 5 + c.  The keys of class cy equal to a tagged target are
-    # those below target * 5 + cy + 1 and not below target * 5 + cy
-    ranks = np.empty((6, 5), dtype=np.int64)
-    for c in range(6):
-        ranks[c] = _rank_sums(keys, targets, bounds)
-        targets += 1
-    grid = np.diff(ranks, axis=0).T
+    keys &= (1 << 2 * _KEY_BITS) - 1
+    cuts = np.cumsum(np.bincount(codes, minlength=5)).tolist()
+    classes = [keys[lo:hi] for lo, hi in zip([0] + cuts[:-1], cuts)]
+    grid = np.array([_match_counts(field, xs, classes, b) for xs in classes])
     inner = grid[:4, :4]
     return BijklCounts(dict(zip(_BIJKL_KEYS, map(int, inner.ravel()))), int(grid.sum() - inner.sum()))

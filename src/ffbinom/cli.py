@@ -183,6 +183,8 @@ def _cmd_verify(parser, args) -> int:
         else:
             rs = [r]
         reports += [predict.verify(fld, args.theorem, ri) for ri in rs]
+    if not reports:
+        parser.error(f"theorem '{args.theorem}' applies to no field of order at most {args.qmax}")
     _print_json([rep.to_dict() for rep in reports])
     return 0 if all(rep.match for rep in reports) else 2
 

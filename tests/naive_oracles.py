@@ -6,9 +6,10 @@ the field's modulus, and square-and-multiply), through FieldSpec's scalar
 methods one element at a time (sij_classify, naive_dij_counts,
 naive_d00_condition) or, in bulk, through the base-p digits of the
 encodings, and the prime field variants below use nothing but Python
-integers.  pair_key_beta_count is the exception: it runs on the library's
-value table and bulk arithmetic, with the boomerang count that the library
-replaced by its (D, F) keys.
+integers.  pair_key_beta_count and pair_key_bijkl_counts are the
+exceptions: they run on the library's value table, class codes and bulk
+arithmetic, with the boomerang count that the library replaced by its
+(D, F) keys.
 """
 
 from collections import Counter
@@ -277,6 +278,31 @@ def pair_key_beta_count(field: FieldSpec, spec: BinomialSpec, a: int, b: int) ->
     idx = np.minimum(np.searchsorted(uniq, targets), len(uniq) - 1)
     return int(cnt[idx[uniq[idx] == targets]].sum())
 
+
+
+def pair_key_bijkl_counts(field: FieldSpec, spec: BinomialSpec, b: int) -> BijklCounts:
+    """bijkl_counts(field, spec, b) by value pairs: pair_key_beta_count with
+    a = 1, each point (F(y), F(y+1)) packed with y's sij_table code as
+    code * q^2 + F(y) * q + F(y+1) and counted by np.unique, and each target
+    (F(x) - b, F(x+1) - b) looked up once per code of y.  The matches are
+    tallied by the codes of x and y, and code 4 (x or y in {0, -1}) is the
+    boundary.  Vectorized, so it reaches fields of several blocks, where
+    naive_bijkl_counts is too slow; it shares neither the (D, F) keys nor
+    the class-sorted slices of bijkl_counts."""
+    q = field.q
+    codes = field.sij_table.astype(np.int64)
+    fv = eval_table(field, spec)
+    f1 = fv[field.add_arrays(np.arange(q, dtype=np.int64), 1)]
+    uniq, cnt = np.unique((codes * q + fv) * q + f1, return_counts=True)
+    targets = field.sub_arrays(fv, b) * q + field.sub_arrays(f1, b)
+    grid = np.zeros((5, 5), dtype=np.int64)
+    for cy in range(5):
+        tagged = targets + cy * q * q
+        idx = np.minimum(np.searchsorted(uniq, tagged), len(uniq) - 1)
+        hit = uniq[idx] == tagged
+        np.add.at(grid[:, cy], codes[hit], cnt[idx[hit]])
+    counts = {f"{i}{j}{k}{l}": int(grid[2 * int(i) + int(j), 2 * int(k) + int(l)]) for i in "01" for j in "01" for k in "01" for l in "01"}
+    return BijklCounts(counts, int(grid.sum()) - sum(counts.values()))
 
 # -- prime fields with bare integer arithmetic ------------------------------
 

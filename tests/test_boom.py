@@ -12,6 +12,7 @@ from naive_oracles import (
     naive_bijkl_counts,
     packed_runs,
     pair_key_beta_count,
+    pair_key_bijkl_counts,
     pairwise_diff_hist,
     reduced_index,
 )
@@ -152,6 +153,38 @@ def test_bijkl_counts_match_naive(p, n, r, u):
     f = make_field(p, n)
     spec = BinomialSpec(r, u)
     assert {b: bijkl_counts(f, spec, b) for b in range(1, f.q)} == naive_bijkl_counts(f, spec)
+
+
+@pytest.mark.parametrize("p,n,r,u", [(11, 1, 3, 1), (3, 3, 2, 1), (13, 1, 2, 1), (7, 2, 4, 6), (3, 5, 2, 2)])
+def test_pair_key_bijkl_oracle_matches_naive(p, n, r, u):
+    # the vectorized reference of the multi-block test below, against the
+    # table-free one wherever that one runs
+    f = make_field(p, n)
+    spec = BinomialSpec(r, u)
+    assert {b: pair_key_bijkl_counts(f, spec, b) for b in range(1, f.q)} == naive_bijkl_counts(f, spec)
+
+
+@pytest.mark.parametrize("p,n,r,u", [(100003, 1, 5, 1), (100003, 1, 5, 100002), (3, 11, 2, 1)])
+def test_bijkl_counts_match_pair_key_oracle_above_one_block(p, n, r, u):
+    # the tag pass runs in two and three blocks here, where
+    # naive_bijkl_counts cannot reach.  Three b with nonzero totals, each
+    # the difference of two values at seeded points
+    f = make_field(p, n)
+    spec = BinomialSpec(r, u)
+    values = eval_table(f, spec)
+    rng = np.random.default_rng(f.q)
+    checked = 0
+    for x, y in rng.integers(0, f.q, (100, 2)).tolist():
+        b = f.sub(int(values[x]), int(values[y]))
+        if b == 0:
+            continue
+        expected = pair_key_bijkl_counts(f, spec, b)
+        if expected.total:
+            assert bijkl_counts(f, spec, b) == expected
+            checked += 1
+            if checked == 3:
+                break
+    assert checked == 3
 
 
 def test_key_bits_fit_every_table_field():

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ffbinom
 from ffbinom import cli, diff, family, predict
 from ffbinom.errors import FFBinomError
 from ffbinom.gf import make_field
@@ -233,12 +237,35 @@ def test_verify_r_only_for_du_on_one_field(capsys):
         (["verify", "--theorem", "du", "--qmax", "20", "--r", "5"], "--r needs a single field"),
         (["verify", "--theorem", "ds-f3", "--p", "23", "--qmax", "50"], "--qmax walks its own fields: drop --p/--n"),
         (["verify", "--theorem", "ds-f3", "--n", "1", "--qmax", "50"], "--qmax walks its own fields: drop --p/--n"),
+        # a sweep with no field printed [] and exited 0
+        (["verify", "--theorem", "ds-f3", "--qmax", "10"], "theorem 'ds-f3' applies to no field of order at most 10"),
+        (["verify", "--theorem", "bs-f2", "--qmax", "26"], "theorem 'bs-f2' applies to no field of order at most 26"),
+        (["verify", "--theorem", "du", "--qmax", "2"], "theorem 'du' applies to no field of order at most 2"),
+        (["verify", "--theorem", "ds-f3", "--qmax", "-5"], "theorem 'ds-f3' applies to no field of order at most -5"),
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 1
         assert f"error: {message}" in capsys.readouterr().err
 
+
+def test_module_entry_point_exit_codes():
+    # python -m ffbinom runs __main__ and cli.entry, whose sys.exit carries
+    # main's code to the process: 0 on a match, 1 on a usage error
+    src = str(Path(ffbinom.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "ffbinom", *argv], capture_output=True, text=True, env=env, timeout=120)
+
+    done = run("verify", "--theorem", "ds-f3", "--p", "23")
+    assert done.returncode == 0, done.stderr
+    [report] = json.loads(done.stdout)
+    assert (report["theorem"], report["q"], report["match"]) == ("ds-f3", 23, True)
+    done = run("verify", "--theorem", "ds-f3", "--qmax", "10")
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert "error: theorem 'ds-f3' applies to no field of order at most 10" in done.stderr
 
 def test_error_inside_tables_exits_1(capsys, monkeypatch):
     # every command shares the one error exit of main, tables included

@@ -39,8 +39,9 @@ def _check_peak(peak_arrays, q, fn, bound):
         # the grouped values, the class mask, the pair differences and their
         # histogram (3.14)
         ("boom_spectrum", 2.7),
-        # the keys and the tagged targets, and one block of searchsorted
-        # results or of tags (4.21)
+        # the value table and the keys while they are built, then the
+        # class-sorted keys with one block of targets and of searchsorted
+        # results (4.21)
         ("bijkl_counts", 2.8),
     ],
 )
@@ -69,7 +70,7 @@ def test_prime_field_peaks_near_1e5(peak_arrays, name, bound):
         # with u = 1 the zero-difference class goes to outer_diff_hist,
         # next to the grouped values and the profile (6.58)
         ("boom_spectrum", 4.5),
-        # the keys, the tagged targets and one block of Zech scratch (5.30)
+        # the value table, the keys and one block of Zech scratch (5.30)
         ("bijkl_counts", 2.6),
     ],
 )
@@ -86,6 +87,14 @@ def test_extension_field_peaks_3_11(peak_arrays, name, bound):
     }
     _check_peak(peak_arrays, f.q, calls[name], bound)
 
+
+def test_bijkl_counts_peak_one_matching_loop(peak_arrays):
+    # the keys tagged with their class codes and sorted in place, and
+    # matched class by class in one block of targets at a time: no q-long
+    # target array (2.26; 2.66 with the tagged targets sorted beside the
+    # keys)
+    f = make_field(100003, 1)
+    _check_peak(peak_arrays, f.q, lambda: bijkl_counts(f, BinomialSpec(5, 1), 1), 2.4)
 
 @pytest.mark.parametrize("p,n", [(100003, 1), (3, 11)])
 def test_outer_diff_hist_pair_path_peak(peak_arrays, p, n):

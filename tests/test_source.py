@@ -143,3 +143,27 @@ def test_pair_kernels_count_into_one_int64_histogram():
         and (len(node.args) > 1 or any(kw.arg == "weights" for kw in node.keywords))
     ]
     assert not weighted, f"weighted bincount in gf: {weighted}"
+
+
+def test_boomerang_counts_share_one_matching_loop():
+    # beta_ab (and through it beta_row) and bijkl_counts count the keys
+    # equal to a target in boom._match_counts, the only function of boom
+    # that calls searchsorted, and no segment-rank helper _rank_sums exists
+    sources = sorted(Path(ffbinom.__file__).parent.rglob("*.py"))
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sources}
+    assert "boom.py" in trees
+    defined = [
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "_rank_sums"
+    ]
+    assert not defined, f"_rank_sums defined in the library: {defined}"
+    functions = {node.name: node for node in trees["boom.py"].body if isinstance(node, ast.FunctionDef)}
+
+    def calls(fn, name):
+        return [node.lineno for node in ast.walk(fn) if isinstance(node, ast.Call) and _name_of(node.func) == name]
+
+    assert calls(functions["beta_ab"], "_match_counts") and calls(functions["bijkl_counts"], "_match_counts")
+    searching = {name for name, fn in functions.items() if calls(fn, "searchsorted")}
+    assert searching == {"_match_counts"}, searching
