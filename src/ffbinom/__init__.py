@@ -2,7 +2,7 @@
 over odd-characteristic finite fields."""
 
 from .boom import BijklCounts, BoomSpectrum, beta_ab, beta_profile, beta_row, bijkl_counts, boom_spectrum
-from .charsum import CharSumResult, gamma, lambda_sum, odd_fn_sum_check, quad_char_sum, weil_envelope
+from .charsum import CharSumResult, gamma, lambda_sum, weil_envelope
 from .diff import (
     CollisionReport,
     DiffSpectrum,
@@ -23,11 +23,10 @@ from .family import (
     eval_table,
     evaluate,
     find_table1,
-    gcd_check,
     reduce_exponent,
     table1_exponents,
 )
-from .gf import Elt, FieldSpec, SijClass, is_prime, make_field, prime_power
+from .gf import Elt, FieldSpec, is_prime, make_field, prime_power
 from .predict import (
     THEOREMS,
     DuPrediction,
@@ -39,6 +38,6 @@ from .predict import (
     predict_du,
     verify,
 )
-from .scan import ScanResult, orbit, orbit_id, scan_exponents, write_jsonl
+from .scan import ScanResult, orbit, scan_exponents, write_jsonl
 
 __version__ = "0.1.0"

@@ -15,19 +15,21 @@ of the keys tagged with their class codes leaves each class a sorted slice,
 and the loop runs once per class of x against the slices of every class.
 
 beta_profile sorts the keys alone, which groups x by D(x) and turns the
-whole b-profile into per-group pair-difference histograms; the sorted
-differences go back into the value table's buffer.  Small groups go
-together to FieldSpec.run_diff_hist, which forms their pairs.  Large groups
-go one by one to FieldSpec.outer_diff_hist, whose cost follows their
-distinct values: the group of x with zero difference has about (q+1)/4
-members for locally-APN inputs, but with u = +-1 only one or two distinct
-values.
+whole b-profile into per-group pair-difference histograms; the values leave
+the sorted keys as int32, and the differences take the keys' own buffer.
+Small groups go together to FieldSpec.run_diff_hist, which forms their
+pairs.  Large groups go one by one to FieldSpec.outer_diff_hist, whose cost
+follows their distinct values: the group of x with zero difference has
+about (q+1)/4 members for locally-APN inputs, but with u = +-1 only one or
+two distinct values.
 
 No count holds more than about two live q-long arrays (the value table and
-the keys, or the keys and the sorted differences) plus one block of
-scratch.  For that this module uses two internals of gf: gf._blocks cuts
-its searchsorted passes into blocks, and FieldSpec._sub_into forms F - b in
-place, where sub_arrays would hold one more block.
+the keys) plus one block of scratch, with one exception: on F_{p^n},
+beta_profile also holds the copy that run_diff_hist's negation fold makes,
+and the histogram that outer_diff_hist returns beside the profile.  For
+that this module uses two internals of gf: gf._blocks cuts its searchsorted
+passes into blocks, and FieldSpec._sub_into forms F - b in place, where
+sub_arrays would hold one more block.
 """
 
 from __future__ import annotations
@@ -140,29 +142,33 @@ def beta_profile(field: FieldSpec, spec: BinomialSpec, a: Elt = 1) -> np.ndarray
     sizes; InvariantError is raised otherwise.
 
     The keys are built in the shift-difference array, which the call owns,
-    and the sorted differences are written back into the value table's
-    buffer; past those two, the grouping allocates only the class mask and
-    the per-class `ends` and `sizes`.  The differences, `ends` and `sizes`
-    are freed before the pair kernel runs, so its temporaries can reuse that
-    memory instead of growing the heap, whose fresh pages each cost a page
-    fault.  The large classes stay in place: their stretch of the class
-    mask is cleared, so the pair kernel sees them as singletons, and their
-    zero differences, which it counts for every value, are taken off again.
+    and the value table is freed once they are.  The grouped values are an
+    int32 copy of the sorted keys' low bits, and the differences are
+    shifted down in the keys' own buffer; past those, the grouping
+    allocates only the class mask and the per-class `ends` and `sizes`.
+    The keys, `ends` and `sizes` are freed before the pair kernel runs, so
+    its temporaries can reuse that memory instead of growing the heap,
+    whose fresh pages each cost a page fault.  The large classes stay in
+    place: their stretch of the class mask is cleared, so the pair kernel
+    sees them as singletons, and their zero differences, which it counts
+    for every value, are taken off again.
     """
     q = field.q
-    fv = eval_table(field, spec)
-    keys = _diff_keys(field, fv, a)
+    keys = _diff_keys(field, eval_table(field, spec), a)
     keys.sort()
-    ds = np.right_shift(keys, _KEY_BITS, out=fv)
-    grouped = np.bitwise_and(keys, _LOW, out=keys)
+    # every value is below 2^24, so int32 holds it: astype keeps the keys'
+    # low 32 bits, and the mask their low 24
+    grouped = keys.astype(np.int32)
+    grouped &= _LOW
+    ds = np.right_shift(keys, _KEY_BITS, out=keys)
     # last[x]: position x ends a class; negated in place it becomes same[x],
     # positions x and x + 1 lie in one class
     last = np.empty(q, dtype=bool)
     np.not_equal(ds[1:], ds[:-1], out=last[:-1])
     last[-1] = True
-    # the differences are dead from here: free their buffer (the value
-    # table's) for the pair kernel's temporaries
-    del ds, fv
+    # the keys are dead from here: free their buffer for the pair kernel's
+    # temporaries
+    del ds, keys
     ends = np.flatnonzero(last)
     ends += 1
     same = np.logical_not(last, out=last)

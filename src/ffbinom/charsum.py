@@ -12,15 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    FFBinomError,
-    InvariantError,
-    NotOddError,
-    WrongFieldError,
-    WrongResidueError,
-    ZeroLeadingError,
-)
-from .gf import Elt, FieldSpec, _pgcd, _pmul, _ptrim
+from .errors import FFBinomError, WrongFieldError, WrongResidueError
+from .gf import FieldSpec, _pgcd, _pmul, _ptrim
 
 
 @dataclass(slots=True)
@@ -80,47 +73,3 @@ def lambda_sum(field: FieldSpec) -> CharSumResult:
     bound = weil_envelope(field.q, d)
     tight = value * value <= (d - 1) * (d - 1) * field.q
     return CharSumResult(value, bound, tight)
-
-
-def quad_char_sum(field: FieldSpec, a2: Elt, a1: Elt, a0: Elt) -> int:
-    """Sum of chi(a2 x^2 + a1 x + a0) over the field.
-
-    Closed form: -chi(a2) when the discriminant is nonzero, else
-    (q-1) chi(a2); InvariantError is raised if the computed sum differs.
-    """
-    for name, a in (("a2", a2), ("a1", a1), ("a0", a0)):
-        field.check_element(a, name)
-    if a2 == 0:
-        raise ZeroLeadingError("leading coefficient must be nonzero")
-    xs = np.arange(field.q, dtype=np.int64)
-    vals = field.add_arrays(field.add_arrays(field.power_table(2, (a2, a2)), field.mul_arrays(xs, a1)), a0)
-    value = int(field.chi_table[vals].astype(np.int64).sum())
-    disc = field.sub(field.mul(a1, a1), field.mul(field.from_int(4), field.mul(a0, a2)))
-    expected = (field.q - 1) * field.chi(a2) if disc == 0 else -field.chi(a2)
-    if value != expected:
-        raise InvariantError(f"quadratic character sum {value} differs from its closed form {expected}")
-    return value
-
-
-def odd_fn_sum_check(field: FieldSpec, values: np.ndarray) -> int:
-    """Sum of chi(f(x)) for an odd f when q = 3 (mod 4); always zero.
-
-    f is given by its value table, values[x] = f(x) for every encoded x.
-    Oddness is the array identity values[-x] = -values[x], with -x = 0 - x
-    from FieldSpec.sub_arrays, and the sum reads chi_table[values].
-    """
-    if field.q % 4 != 3:
-        raise WrongResidueError(f"q = {field.q} is not 3 mod 4")
-    chi = field.chi_table  # raises "no tables" before any array work
-    values = np.asarray(values)
-    if values.shape != (field.q,) or values.dtype.kind not in "iu" or values.min() < 0 or values.max() >= field.q:
-        raise FFBinomError(f"values must hold one element of F_{field.q} for each of its {field.q} elements")
-    values = values.astype(np.int64, copy=False)
-    negated = field.sub_arrays(0, np.arange(field.q, dtype=np.int64))
-    odd = values[negated] == field.sub_arrays(0, values)
-    if not odd.all():
-        raise NotOddError(f"f(-x) != -f(x) at x = {int(np.argmin(odd))}")
-    value = int(chi[values].sum(dtype=np.int64))
-    if value != 0:
-        raise InvariantError(f"character sum of an odd function is {value}, not 0")
-    return value

@@ -25,14 +25,6 @@ class ZeroShiftError(FFBinomError):
     """The shift a must be nonzero."""
 
 
-class ZeroLeadingError(FFBinomError):
-    """The quadratic's leading coefficient must be nonzero."""
-
-
-class NotOddError(FFBinomError):
-    """The supplied function is not odd."""
-
-
 class WrongResidueError(FFBinomError):
     """The field order has the wrong residue class for this operation."""
 

@@ -110,13 +110,6 @@ def find_table1(field: FieldSpec, r: int) -> ExponentFamily | None:
     return None
 
 
-def gcd_check(p: int, k: int, n: int) -> int:
-    """gcd(p^k + 1, p^n - 1); equals 2 whenever n/gcd(k, n) is odd."""
-    if k > n:
-        raise FFBinomError("k must not exceed n")
-    return math.gcd(p**k + 1, p**n - 1)
-
-
 def cm_equiv_partner(n: int, k: int) -> int:
     """Exponent (3^(n-k)+1)/2 whose binomial is linearly equivalent to the
     one for (3^k+1)/2 over F_{3^n} via x -> x^(3^(n-k))."""

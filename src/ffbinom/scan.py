@@ -64,11 +64,6 @@ def orbit(field: FieldSpec, r: int) -> list[int]:
     return out
 
 
-def orbit_id(field: FieldSpec, r: int) -> int:
-    """Canonical orbit representative."""
-    return min(orbit(field, r))
-
-
 def _table1_lookup(field: FieldSpec) -> dict[int, family.ExponentFamily]:
     # Coulter-Matthews entries win residue collisions so the equivalence
     # partner metadata is preserved

@@ -4,7 +4,7 @@ These deliberately avoid the vectorized table paths: field arithmetic goes
 through the table-free raw_mul and pow_slow below (polynomial products mod
 the field's modulus, and square-and-multiply), through FieldSpec's scalar
 methods one element at a time (sij_classify, naive_dij_counts,
-naive_d00_condition) or, in bulk, through the base-p digits of the
+naive_d00_condition, chi_sum) or, in bulk, through the base-p digits of the
 encodings, and the prime field variants below use nothing but Python
 integers.  pair_key_beta_count and pair_key_bijkl_counts are the
 exceptions: they run on the library's value table, class codes and bulk
@@ -13,6 +13,7 @@ arithmetic, with the boomerang count that the library replaced by its
 """
 
 from collections import Counter
+from enum import Enum
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from ffbinom.boom import BijklCounts
 from ffbinom.diff import CollisionReport, DijCounts
 from ffbinom.errors import FFBinomError
 from ffbinom.family import BinomialSpec, eval_table, evaluate
-from ffbinom.gf import FieldSpec, SijClass, _pmulmod
+from ffbinom.gf import FieldSpec, _pmulmod
 
 
 def raw_mul(field: FieldSpec, a: int, b: int) -> int:
@@ -111,6 +112,29 @@ def naive_shift_difference(field: FieldSpec, values, a: int) -> list[int]:
     """values[x + a] - values[x] for every x, one scalar field.add and
     field.sub per x; the reference for FieldSpec.shift_difference."""
     return [field.sub(int(values[field.add(x, a)]), int(values[x])) for x in field.elements()]
+
+
+def chi_sum(field: FieldSpec, fn) -> int:
+    """Sum of chi(fn(x)) over the field, one scalar field.chi per x: the
+    sum in the quadratic and odd-function character-sum lemmas."""
+    return sum(field.chi(fn(x)) for x in field.elements())
+
+
+def quad_chi_sum(field: FieldSpec, a2: int, a1: int, a0: int) -> int:
+    """Sum of chi(a2 x^2 + a1 x + a0) over the field, the quadratic formed
+    by Horner's rule in scalar field.mul and field.add."""
+    return chi_sum(field, lambda x: field.add(field.mul(field.add(field.mul(a2, x), a1), x), a0))
+
+
+class SijClass(Enum):
+    """Position of x in the partition of F_q by (chi(x), chi(x+1)) signs."""
+
+    S00 = "S00"
+    S01 = "S01"
+    S10 = "S10"
+    S11 = "S11"
+    ZERO = "Zero"
+    MINUS_ONE = "MinusOne"
 
 
 def sij_classify(field: FieldSpec, x: int) -> SijClass:

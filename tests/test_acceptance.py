@@ -7,11 +7,13 @@ import numpy as np
 
 from ffbinom import cli
 from ffbinom.boom import bijkl_counts, boom_spectrum
-from ffbinom.charsum import gamma, lambda_sum, quad_char_sum
+from ffbinom.charsum import gamma, lambda_sum
 from ffbinom.diff import delta_row, diff_spectrum, dij_counts
 from ffbinom.family import BinomialSpec, eval_table, table1_exponents
-from ffbinom.gf import SijClass, is_prime, make_field
-from ffbinom.predict import predict_bs_f2, predict_ds_f3, predict_ds_f3inv, verify
+from ffbinom.gf import is_prime, make_field
+from ffbinom.predict import predict_bs_f2, predict_ds_f3, predict_ds_f3inv
+
+from naive_oracles import quad_chi_sum
 
 TABLE_DS_F3 = {
     11: (2, {0: 2, 1: 8, 3: 1}),
@@ -160,19 +162,13 @@ def _fifty_field_sij_check() -> bool:
     assert len(specs) == 50
     for p, n in specs:
         f = make_field(p, n)
-        sizes = f.sij_sizes()
+        s00, s01, s10, s11, boundary = np.bincount(f.sij_table, minlength=5).tolist()
         q = f.q
         if q % 4 == 3:
-            ok = (
-                sizes[SijClass.S00] == sizes[SijClass.S10] == sizes[SijClass.S11] == (q - 3) // 4
-                and sizes[SijClass.S01] == (q + 1) // 4
-            )
+            ok = s00 == s10 == s11 == (q - 3) // 4 and s01 == (q + 1) // 4
         else:
-            ok = (
-                sizes[SijClass.S00] == (q - 5) // 4
-                and sizes[SijClass.S01] == sizes[SijClass.S10] == sizes[SijClass.S11] == (q - 1) // 4
-            )
-        if not ok:
+            ok = s00 == (q - 5) // 4 and s01 == s10 == s11 == (q - 1) // 4
+        if not ok or boundary != 2:
             return False
     return True
 
@@ -184,7 +180,7 @@ def _hundred_quadratics_check() -> bool:
             a2 = (5 * i + 1) % f.q or 1
             a1 = (7 * i + 3) % f.q
             a0 = (11 * i + 5) % f.q
-            value = quad_char_sum(f, a2, a1, a0)  # closed form asserted inside
+            value = quad_chi_sum(f, a2, a1, a0)
             disc = f.sub(f.mul(a1, a1), f.mul(f.from_int(4), f.mul(a0, a2)))
             expected = (f.q - 1) * f.chi(a2) if disc == 0 else -f.chi(a2)
             if value != expected:

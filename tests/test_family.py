@@ -11,7 +11,6 @@ from ffbinom.family import (
     eval_table,
     evaluate,
     find_table1,
-    gcd_check,
     reduce_exponent,
     table1_exponents,
 )
@@ -170,14 +169,17 @@ def test_reduce_exponent():
 
 
 def test_gcd_check():
-    assert gcd_check(3, 1, 3) == 2
-    assert gcd_check(3, 2, 4) == 10
-    assert gcd_check(5, 1, 1) == 2
-    with pytest.raises(FFBinomError):
-        gcd_check(3, 4, 3)
+    # gcd(p^k + 1, p^n - 1) = 2 whenever n / gcd(k, n) is odd
+    assert math.gcd(3**1 + 1, 3**3 - 1) == 2
+    assert math.gcd(3**2 + 1, 3**4 - 1) == 10
+    assert math.gcd(5**1 + 1, 5**1 - 1) == 2
     for p, k, n in [(3, 1, 5), (5, 3, 9), (7, 2, 3), (11, 1, 7)]:
         if (n // math.gcd(k, n)) % 2 == 1:
-            assert gcd_check(p, k, n) == 2
+            assert math.gcd(p**k + 1, p**n - 1) == 2
+    # so every p^k + 1 entry of Table 1 (n odd) has gcd_order 2
+    for p, n in [(3, 3), (3, 5), (7, 3), (11, 1)]:
+        orders = [fam.gcd_order for fam in table1_exponents(make_field(p, n)) if fam.name == "p_power_plus_one"]
+        assert orders == [2] * n
 
 
 def test_cm_equiv_partner():

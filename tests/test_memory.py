@@ -36,9 +36,10 @@ def _check_peak(peak_arrays, q, fn, bound):
         # the value table and the keys, then the sorted keys with one block
         # of targets and of searchsorted results (4.21)
         ("beta_row", 2.5),
-        # the grouped values, the class mask, the pair differences and their
-        # histogram (3.14)
-        ("boom_spectrum", 2.7),
+        # the int32 grouped values, the class mask, the pair differences and
+        # their histogram (2.26; 2.64 with int64 values beside a q-long
+        # array of key differences)
+        ("boom_spectrum", 2.4),
         # the value table and the keys while they are built, then the
         # class-sorted keys with one block of targets and of searchsorted
         # results (4.21)
@@ -68,8 +69,13 @@ def test_prime_field_peaks_near_1e5(peak_arrays, name, bound):
         # the value table, the keys and one block of Zech scratch (5.30)
         ("beta_row", 2.6),
         # with u = 1 the zero-difference class goes to outer_diff_hist,
-        # next to the grouped values and the profile (6.58)
-        ("boom_spectrum", 4.5),
+        # next to the int32 grouped values and the profile (2.88; 3.13 with
+        # int64 values)
+        ("boom_spectrum", 3.0),
+        # u = 0, r = 5: the pair kernel alone, its pooled differences and
+        # the negation fold's copy beside the int32 values (3.24; 4.14 with
+        # int64 values)
+        ("boom_spectrum_u0", 3.4),
         # the value table, the keys and one block of Zech scratch (5.30)
         ("bijkl_counts", 2.6),
     ],
@@ -83,6 +89,7 @@ def test_extension_field_peaks_3_11(peak_arrays, name, bound):
         "d00_condition": lambda: d00_condition(f, 2),
         "beta_row": lambda: beta_row(f, spec, 1),
         "boom_spectrum": lambda: boom_spectrum(f, spec),
+        "boom_spectrum_u0": lambda: boom_spectrum(f, BinomialSpec(5, 0)),
         "bijkl_counts": lambda: bijkl_counts(f, spec, 1),
     }
     _check_peak(peak_arrays, f.q, calls[name], bound)

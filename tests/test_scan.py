@@ -3,13 +3,15 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
-from ffbinom.boom import beta_ab, beta_row
+from ffbinom.boom import beta_ab, beta_row, boom_spectrum
+from ffbinom.diff import diff_spectrum
 from ffbinom.errors import BadRangeError, FFBinomError, WrongResidueError
 from ffbinom.family import BinomialSpec, table1_exponents
 from ffbinom.gf import make_field
-from ffbinom.scan import orbit, orbit_id, scan_exponents, write_jsonl
+from ffbinom.scan import orbit, scan_exponents, write_jsonl
 
 
 def test_scan_workers_are_clamped_to_cpus_and_chunks(monkeypatch):
@@ -40,18 +42,27 @@ def test_scan_workers_are_clamped_to_cpus_and_chunks(monkeypatch):
 def test_orbit_f27():
     f = make_field(3, 3)
     assert sorted(orbit(f, 2)) == [2, 6, 18]
-    assert orbit_id(f, 2) == 2
-    assert orbit_id(f, 6) == 2
-    assert orbit_id(f, 18) == 2
-    assert orbit_id(f, 5) == 5  # orbit {5, 15, 19}
-    assert orbit_id(f, 19) == 5
+    # the representative is the orbit's least member
+    assert [min(orbit(f, r)) for r in (2, 6, 18, 5, 19)] == [2, 2, 2, 5, 5]  # 5: orbit {5, 15, 19}
 
 
 def test_orbit_prime_field_is_singleton():
     f = make_field(11, 1)
     for r in range(1, 10):
         assert orbit(f, r) == [r]
-        assert orbit_id(f, r) == r
+
+
+@pytest.mark.parametrize("p,n", [(3, 5), (7, 3), (11, 3)])
+def test_spectra_constant_on_frobenius_orbits(p, n):
+    # for u in the prime field, F_{pr}(x) = F_r(x)^p: the Frobenius map, an
+    # additive bijection, after F_r.  So every member of an orbit has the
+    # same delta and beta spectra, and scan reports one representative
+    f = make_field(p, n)
+    for r in np.random.default_rng(f.q).choice(np.arange(1, f.q - 1), 6, replace=False).tolist():
+        members = orbit(f, r)
+        for u in (1, p - 1, 2):
+            spectra = [(diff_spectrum(f, BinomialSpec(s, u)), boom_spectrum(f, BinomialSpec(s, u))) for s in members]
+            assert spectra == [spectra[0]] * len(members), (r, u, members)
 
 
 def test_scan_f27_window():
@@ -97,7 +108,7 @@ def test_scan_table1_exponents_all_pass():
         f = make_field(p, n)
         results = {res.r: res for res in scan_exponents(f, 1, f.q - 2)}
         for fam in table1_exponents(f):
-            rep = orbit_id(f, fam.r)
+            rep = min(orbit(f, fam.r))
             assert rep in results
             entry = results[rep]
             assert entry.d00_holds

@@ -167,3 +167,21 @@ def test_boomerang_counts_share_one_matching_loop():
     assert calls(functions["beta_ab"], "_match_counts") and calls(functions["bijkl_counts"], "_match_counts")
     searching = {name for name, fn in functions.items() if calls(fn, "searchsorted")}
     assert searching == {"_match_counts"}, searching
+
+
+def test_lemma_helpers_live_in_the_tests_only():
+    # the lemma checks that only tests called are gone from the library:
+    # the tests check those lemmas through public pieces and the scalar
+    # oracles, where SijClass is sij_classify's vocabulary
+    retired = {"quad_char_sum", "odd_fn_sum_check", "gcd_check", "sij_sizes", "orbit_id", "SijClass", "NotOddError", "ZeroLeadingError"}
+    sources = sorted(Path(ffbinom.__file__).parent.rglob("*.py"))
+    assert any(path.name == "__init__.py" for path in sources)
+    found = [
+        f"{path.name}:{node.lineno} {name}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        for name in [node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else _name_of(node)]
+        if name in retired
+    ]
+    assert not found, f"test-only helpers in the library: {found}"
+    assert not retired & set(dir(ffbinom))
