@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FFBinomError, WrongFieldError, WrongResidueError
-from .gf import FieldSpec, _pgcd, _pmul, _ptrim
+from .gf import FieldSpec
 
 
 @dataclass(slots=True)
@@ -28,15 +28,6 @@ def weil_envelope(q: int, d: int) -> float:
     if d < 1:
         raise FFBinomError("d must be >= 1")
     return (d - 1) * math.sqrt(q)
-
-
-def _distinct_root_count(coeffs: list[int], p: int) -> int:
-    # number of distinct roots over the algebraic closure: deg f - deg gcd(f, f')
-    f = _ptrim(list(c % p for c in coeffs))
-    deriv = _ptrim([i * c % p for i, c in enumerate(f)][1:])
-    if not deriv:
-        raise FFBinomError("polynomial is inseparable; root count undefined here")
-    return (len(f) - 1) - (len(_pgcd(f, deriv, p)) - 1)
 
 
 def gamma(field: FieldSpec) -> CharSumResult:
@@ -60,16 +51,21 @@ def gamma(field: FieldSpec) -> CharSumResult:
 
 
 def lambda_sum(field: FieldSpec) -> CharSumResult:
-    """Sum of chi(x+1)chi(x^2+1) over the field; controls nu_1 of the square
-    binomial in characteristic 3."""
+    """Sum of chi(x+1)chi(x^2+1) = chi(x^3+x^2+x+1) over F_{3^n}, n odd;
+    controls nu_1 of the square binomial in characteristic 3.  It is -s_n,
+    s_n = a^n + b^n for the Frobenius roots a, b of y^2 = x^3+x^2+x+1 over
+    F_3 (Silverman, "The Arithmetic of Elliptic Curves", ch. V), from the
+    recurrence s_k = t s_{k-1} - 3 s_{k-2}: no field table is read."""
     if field.p != 3 or field.n % 2 == 0:
         raise WrongFieldError("requires p = 3 and odd extension degree")
-    chi = field.chi_table
-    succ = field.succ_table
-    squares = field.power_table(2)
-    value = int((np.take(chi, succ).astype(np.int64) * np.take(chi, succ[squares])).sum())
-    # d distinct roots of (x+1)(x^2+1) over the closure, computed, not assumed
-    d = _distinct_root_count(_pmul([1, 1], [1, 0, 1], field.p), field.p)
-    bound = weil_envelope(field.q, d)
-    tight = value * value <= (d - 1) * (d - 1) * field.q
+    # the trace t = a + b = -(sum over F_3), where chi(v) is v mod 3 read
+    # as 0, 1, -1 (Euler's criterion)
+    t = -sum((0, 1, -1)[(x**3 + x**2 + x + 1) % 3] for x in range(3))
+    s_prev, s = 2, t
+    for _ in range(field.n - 1):
+        s_prev, s = s, t * s - 3 * s_prev
+    value = -s
+    # (x+1)(x^2+1) has 3 distinct roots over the closure: |value| <= 2 sqrt(q)
+    bound = weil_envelope(field.q, 3)
+    tight = value * value <= 4 * field.q
     return CharSumResult(value, bound, tight)

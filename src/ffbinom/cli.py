@@ -8,6 +8,7 @@ byte-identical results; CSV column order mirrors the reference tables.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -193,12 +194,14 @@ def _cmd_scan(parser, args) -> int:
     fld = make_field(args.p, args.n)
     rmax = args.rmax if args.rmax is not None else fld.q - 2
     jobs = args.jobs if args.jobs is not None else scan.default_jobs()
-    results = scan.scan_exponents(fld, args.rmin, rmax, jobs=jobs)
-    if args.out:
-        scan.write_jsonl(results, args.out)
-    else:
-        for res in results:
-            print(res.to_json_line())
+    # --out is opened before the scan, so a bad path fails before any work
+    try:
+        out = open(args.out, "a", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        parser.error(f"cannot open --out: {exc}")
+    with out as fh:
+        for res in scan.scan_exponents(fld, args.rmin, rmax, jobs=jobs):
+            fh.write(res.to_json_line() + "\n")
     return 0
 
 

@@ -29,7 +29,7 @@ indexes about twice as slowly with an int32 index array as with an int64
 one, and np.take converts the index at less cost.  The tables are read in
 this module only: power_table is the one log-domain power kernel, x^e times
 one constant on squares and another on non-squares, which serves the
-binomial's value table and the character sums alike.
+binomial's value table and Gamma (charsum's Lambda reads no table).
 
 Bulk addition and subtraction on F_{p^n} stay in the log domain too, through
 Zech's logarithms Z[k] = log(1 + g^k), one q-long table (K. Huber, "Some

@@ -9,7 +9,8 @@ encodings, and the prime field variants below use nothing but Python
 integers.  pair_key_beta_count and pair_key_bijkl_counts are the
 exceptions: they run on the library's value table, class codes and bulk
 arithmetic, with the boomerang count that the library replaced by its
-(D, F) keys.
+(D, F) keys; so is table_lambda_sum, the table sum that the library
+replaced by the Frobenius recurrence.
 """
 
 from collections import Counter
@@ -124,6 +125,16 @@ def quad_chi_sum(field: FieldSpec, a2: int, a1: int, a0: int) -> int:
     """Sum of chi(a2 x^2 + a1 x + a0) over the field, the quadratic formed
     by Horner's rule in scalar field.mul and field.add."""
     return chi_sum(field, lambda x: field.add(field.mul(field.add(field.mul(a2, x), a1), x), a0))
+
+
+def table_lambda_sum(field: FieldSpec) -> int:
+    """Sum of chi(x+1)chi(x^2+1) over the field in three q-long passes over
+    chi_table, succ_table and power_table(2): the reference for
+    charsum.lambda_sum."""
+    chi = field.chi_table
+    succ = field.succ_table
+    squares = field.power_table(2)
+    return int((np.take(chi, succ).astype(np.int64) * np.take(chi, succ[squares])).sum())
 
 
 class SijClass(Enum):

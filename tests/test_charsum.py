@@ -6,7 +6,7 @@ from ffbinom.charsum import gamma, lambda_sum, weil_envelope
 from ffbinom.errors import FFBinomError, WrongFieldError, WrongResidueError
 from ffbinom.gf import make_field
 
-from naive_oracles import chi_sum, quad_chi_sum
+from naive_oracles import chi_sum, quad_chi_sum, table_lambda_sum
 
 
 @pytest.mark.parametrize("q,expected", [(11, 2), (23, -3), (167, 13), (227, 0)])
@@ -75,6 +75,37 @@ def test_lambda_weil_bound_small_degrees():
         f = make_field(3, n)
         value = lambda_sum(f).value
         assert value * value <= 4 * f.q
+
+
+@pytest.mark.parametrize("n", range(1, 14, 2))
+def test_lambda_recurrence_matches_table_sum(n):
+    # the Frobenius recurrence against the q-long table sum it replaced
+    f = make_field(3, n)
+    assert lambda_sum(f).value == table_lambda_sum(f)
+
+
+@pytest.mark.parametrize("n,expected", [(17, -19582), (19, 52214), (21, 71810)])
+def test_lambda_above_table_limit(n, expected):
+    # F_{3^n} above 2^24 holds no tables, and the recurrence reads none
+    f = make_field(3, n)
+    assert f.q > 2**24 and f.generator is None
+    res = lambda_sum(f)
+    assert (res.value, res.tight) == (expected, True)
+    assert res.bound == pytest.approx(2 * math.sqrt(f.q))
+
+
+def test_lambda_hasse_bound_far_past_the_tables():
+    # |a| = |b| = sqrt(3), so s_n^2 <= 4 * 3^n: checked in integers on the
+    # recurrence for every odd n <= 101, and against lambda_sum on the
+    # fields without tables up to n = 25
+    s_prev, s = 2, -2
+    for n in range(1, 102):
+        if n % 2:
+            assert s * s <= 4 * 3**n, n
+            if 17 <= n <= 25:
+                res = lambda_sum(make_field(3, n))
+                assert (res.value, res.tight) == (-s, True)
+        s_prev, s = s, -2 * s - 3 * s_prev
 
 
 def test_quad_char_sum_examples():

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import ffbinom
-from ffbinom import cli, diff, family, predict
+from ffbinom import cli, diff, family, predict, scan
 from ffbinom.errors import FFBinomError
 from ffbinom.gf import make_field
 
@@ -99,6 +99,19 @@ def test_charsum_cli(capsys):
     assert payload["value"] == -3 and payload["tight"]
     code, out = run_cli(capsys, "charsum", "lambda", "--p", "3", "--n", "3")
     assert json.loads(out)["value"] == -10
+
+
+def test_charsum_lambda_and_verify_above_table_limit(capsys):
+    # Lambda reads no table, so charsum lambda answers on F_{3^17}; verify
+    # there still needs the oracle's tables and exits 1
+    code, out = run_cli(capsys, "charsum", "lambda", "--p", "3", "--n", "17")
+    assert code == 0
+    assert json.loads(out)["value"] == -19582
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--theorem", "bs-f2", "--p", "3", "--n", "17"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert f"no tables for q = {3**17}" in captured.err and captured.out == ""
 
 
 def test_charsum_usage_error_exit_1(capsys):
@@ -392,3 +405,18 @@ def test_scan_cli_out_file(capsys, tmp_path):
     assert code == 0 and out == ""
     rows = [json.loads(line) for line in path.read_text().strip().splitlines()]
     assert any(row["r"] == 2 and row["beta_max"] == 1 for row in rows)
+
+
+def test_scan_cli_unwritable_out_fails_before_scanning(capsys, monkeypatch, tmp_path):
+    # the scan used to run to the end and then die in write_jsonl with a
+    # FileNotFoundError traceback, losing every result
+    def refuse(*args, **kwargs):
+        raise AssertionError("scan_exponents ran before --out was opened")
+
+    monkeypatch.setattr(scan, "scan_exponents", refuse)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scan", "--p", "3", "--n", "7", "--out", str(tmp_path / "missing" / "x.jsonl")])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "error: cannot open --out" in captured.err

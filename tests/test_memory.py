@@ -13,6 +13,7 @@ import pytest
 
 from ffbinom import gf
 from ffbinom.boom import beta_row, bijkl_counts, boom_spectrum
+from ffbinom.charsum import lambda_sum
 from ffbinom.diff import d00_condition, delta_row
 from ffbinom.family import BinomialSpec, eval_table
 from ffbinom.gf import make_field
@@ -93,6 +94,13 @@ def test_extension_field_peaks_3_11(peak_arrays, name, bound):
         "bijkl_counts": lambda: bijkl_counts(f, spec, 1),
     }
     _check_peak(peak_arrays, f.q, calls[name], bound)
+
+
+def test_lambda_sum_forms_no_array(peak_arrays):
+    # Lambda is the Frobenius recurrence in Python integers: no q-long pass
+    # (the table sum formed several int64 arrays)
+    f = make_field(3, 11)
+    _check_peak(peak_arrays, f.q, lambda: lambda_sum(f), 0.05)
 
 
 def test_bijkl_counts_peak_one_matching_loop(peak_arrays):

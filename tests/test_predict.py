@@ -81,6 +81,15 @@ def test_predict_bs_f2(n, expected):
     assert pred.uniformity == 1
 
 
+def test_predict_bs_f2_above_table_limit():
+    # Lambda comes from the Frobenius recurrence, so the prediction needs no
+    # field table: F_{3^17} has none
+    f = make_field(3, 17)
+    pred = predict_bs_f2(f)
+    assert pred.nu == {0: 96845330, 1: 32294832}
+    assert sum(pred.nu.values()) == f.q - 1
+
+
 def test_predict_bs_f2_not_applicable():
     with pytest.raises(NotApplicableError):
         predict_bs_f2(make_field(11, 1))

@@ -63,9 +63,10 @@ def _name_of(node):
 
 
 def test_block_rule_and_pair_kernels_live_in_gf_only():
-    # gf's encoding and block rule stay in gf: other modules take the shift
-    # row, the pair-difference histograms and the bulk operations from
-    # FieldSpec's methods, and family imports only public names from gf
+    # gf's encoding, block rule and polynomial arithmetic stay in gf: other
+    # modules take the shift row, the pair-difference histograms and the
+    # bulk operations from FieldSpec's methods, and family imports only
+    # public names from gf
     private = {
         "_BUILD_CHUNK",
         "_PAIR_CHUNK",
@@ -75,6 +76,14 @@ def test_block_rule_and_pair_kernels_live_in_gf_only():
         "_add_q_where_negative",
         "_zech_sum",
         "_zech_block",
+        # the polynomial helpers serve the modulus and generator search
+        "_pgcd",
+        "_pmul",
+        "_ptrim",
+        "_pmod",
+        "_pmulmod",
+        "_psub",
+        "_ppow_x",
     }
     sources = sorted(Path(ffbinom.__file__).parent.rglob("*.py"))
     assert any(path.name == "gf.py" for path in sources)
@@ -185,3 +194,14 @@ def test_lemma_helpers_live_in_the_tests_only():
     ]
     assert not found, f"test-only helpers in the library: {found}"
     assert not retired & set(dir(ffbinom))
+
+
+def test_lambda_sum_reads_no_field_table():
+    # Lambda comes from the Frobenius recurrence of one curve over F_3, so
+    # the bs-f2 and cm-equiv predictions share no table with their oracle
+    # boom_spectrum
+    tables = {"chi_table", "succ_table", "power_table"}
+    tree = ast.parse((Path(ffbinom.__file__).parent / "charsum.py").read_text())
+    [fn] = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "lambda_sum"]
+    found = [f"charsum.py:{node.lineno} {_name_of(node)}" for node in ast.walk(fn) if _name_of(node) in tables]
+    assert not found, f"lambda_sum reads field tables: {found}"
