@@ -5,8 +5,9 @@ general a reduces to a row lookup through the permutations b -> b/a^r and
 b -> b/((-1)^(r+1) a^r) when q = 3 (mod 4), so the full (a, b) table is
 never materialized.  Rows come from FieldSpec.shift_difference and splits
 by the class of x from FieldSpec.sij_table.  row_report is the one summary
-of the a = 1 row: its spectrum, uniformity and locally-APN flags, which
-diff_spectrum, locally_apn_check and every caller outside this module read.
+of the a = 1 row: its spectrum, locally-APN flags and the uniformity, the
+one value read over every a, which diff_spectrum, locally_apn_check and
+every caller outside this module read.
 """
 
 from __future__ import annotations
@@ -24,11 +25,13 @@ from .gf import Elt, FieldSpec
 class DiffSpectrum:
     """Multiplicities omega_i = #{b : delta(1, b) = i} over the a = 1 row.
 
-    uniformity is the largest delta(1, b), the maximum of the a = 1 row.
-    When q = 3 (mod 4), the case of every theorem checked here, each a != 0
-    is s or -s for a square s, each row is the a = 1 row with b rescaled,
-    and this is the differential uniformity; when q = 1 (mod 4) another row
-    can be higher.
+    uniformity is the differential uniformity, the largest delta(a, b) over
+    every a != 0 and every b.  For a square s, F(s x) = s^r F(x), so
+    delta(s a, b) = delta(a, b / s^r): the row of a is the row of 1 or of
+    the generator g, a non-square, with b rescaled.  When q = 3 (mod 4),
+    the case of every theorem checked here, the g row is the 1 row rescaled
+    as well, and uniformity is the maximum of the a = 1 row; when
+    q = 1 (mod 4) it is the maximum of the a = 1 and a = g rows.
     """
 
     omega: dict[int, int]
@@ -53,6 +56,8 @@ class DijCounts:
 
 @dataclass(slots=True)
 class LocallyApnReport:
+    """The locally-APN flags and two values of the a = 1 row only."""
+
     strict: bool  # delta(1, b) <= 2 for all b outside the prime subfield
     star: bool  # delta(1, b) <= 2 for all b != 0
     delta10: int  # delta(1, 0)
@@ -79,7 +84,8 @@ def delta_ab(field: FieldSpec, spec: BinomialSpec, a: Elt, b: Elt) -> int:
 
 def row_report(field: FieldSpec, spec: BinomialSpec) -> tuple[DiffSpectrum, LocallyApnReport]:
     """The a = 1 row's DiffSpectrum, with the identity checks folded in,
-    and its LocallyApnReport, both read from one delta_row."""
+    and its LocallyApnReport, both read from one delta_row; when
+    q = 1 (mod 4) the uniformity also reads the a = g row (DiffSpectrum)."""
     row = delta_row(field, spec)
     counts = np.bincount(row)
     omega = {int(i): int(counts[i]) for i in np.flatnonzero(counts)}
@@ -91,11 +97,16 @@ def row_report(field: FieldSpec, spec: BinomialSpec) -> tuple[DiffSpectrum, Loca
     # the rest of the row is read only when star fails
     star = delta_max <= 2
     strict = star or bool(row[field.p :].max(initial=0) <= 2)
-    return DiffSpectrum(omega, max(delta10, delta_max)), LocallyApnReport(strict, star, delta10, delta_max)
+    uniformity = max(delta10, delta_max)
+    if field.q % 4 == 1:
+        g_row = np.bincount(field.shift_difference(eval_table(field, spec), field.generator))
+        uniformity = max(uniformity, int(g_row.max()))
+    return DiffSpectrum(omega, uniformity), LocallyApnReport(strict, star, delta10, delta_max)
 
 
 def diff_spectrum(field: FieldSpec, spec: BinomialSpec) -> DiffSpectrum:
-    """Spectrum of the a = 1 row, with the identity checks folded in."""
+    """Spectrum of the a = 1 row, with the identity checks folded in, and
+    the uniformity over every a."""
     return row_report(field, spec)[0]
 
 
@@ -111,7 +122,7 @@ def dij_counts(field: FieldSpec, spec: BinomialSpec, b: Elt) -> DijCounts:
 
 def locally_apn_check(field: FieldSpec, spec: BinomialSpec) -> LocallyApnReport:
     """Both locally-APN predicates plus delta(1, 0) and the row's maximum
-    off b = 0.
+    off b = 0, all of the a = 1 row.
 
     strict restricts b to F_q minus the prime subfield; star is the stronger
     all-nonzero-b form.

@@ -12,8 +12,11 @@ numpy passes.  On F_p that is a product mod p.  On F_{p^n} multiplication by
 a constant c is an F_p-linear map, the n x n matrix M_c over F_p of the
 regular representation (Lidl and Niederreiter, "Finite Fields", ch. 2), and
 M_{g^2m} = M_{g^m}^2; rows are mapped through two half-width digit tables
-of M_{g^m}.  The generator and the modulus are found by powering such
-matrices as well, so no table build does polynomial arithmetic in Python.
+of M_{g^m}.  The generator is found by powering such matrices as well, and
+the modulus by Rabin's test on companion matrices, the matrices of
+multiplication by x: powers of them and determinants mod p, one search for
+every p and n, whose matrices hold Python ints where int64 products would
+overflow (smallest_irreducible).  No polynomial arithmetic runs in Python.
 The log table is a scatter of the exp table, _BUILD_CHUNK entries at a
 time, and chi is the parity of the log.  Multiplication, inversion,
 powering and chi are lookups only: above TABLE_LIMIT a field carries p, n,
@@ -63,7 +66,6 @@ differences to their histogram per pass.
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -240,96 +242,7 @@ def prime_power(q: int) -> tuple[int, int] | None:
 
 
 # ---------------------------------------------------------------------------
-# polynomials over F_p as trimmed low-to-high coefficient lists
-
-
-def _ptrim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
-def _pmod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
-    # m monic
-    a = list(a)
-    dm = len(m) - 1
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i]
-        if c:
-            a[i] = 0
-            for j in range(dm):
-                a[i - dm + j] = (a[i - dm + j] - c * m[j]) % p
-    return _ptrim(a)
-
-
-def _pmulmod(a: Sequence[int], b: Sequence[int], m: Sequence[int], p: int) -> list[int]:
-    return _pmod(_pmul(a, b, p), m, p)
-
-
-def _ppow_x(e: int, m: Sequence[int], p: int) -> list[int]:
-    """x^e mod m by square-and-multiply."""
-    result = [1]
-    base = _pmod([0, 1], m, p)
-    while e:
-        if e & 1:
-            result = _pmulmod(result, base, m, p)
-        base = _pmulmod(base, base, m, p)
-        e >>= 1
-    return result
-
-
-def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        inv_lead = pow(b[-1], p - 2, p)
-        bm = [c * inv_lead % p for c in b]
-        a, b = b, _pmod(a, bm, p)
-    if a:
-        inv_lead = pow(a[-1], p - 2, p)
-        a = [c * inv_lead % p for c in a]
-    return a
-
-
-def _psub(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] = ai
-    for i, bi in enumerate(b):
-        out[i] = (out[i] - bi) % p
-    return _ptrim(out)
-
-
-def is_irreducible(coeffs: Sequence[int], p: int) -> bool:
-    """Irreducibility of a monic polynomial over F_p.
-
-    Tests x^(p^n) == x mod f together with gcd(x^(p^(n/t)) - x, f) = 1 for
-    every prime t dividing n, which excludes roots in every proper subfield.
-    """
-    f = list(coeffs)
-    n = len(f) - 1
-    if n < 1 or f[-1] != 1:
-        return False
-    if n == 1:
-        return True
-    x = [0, 1]
-    if _ppow_x(p**n, f, p) != x:
-        return False
-    for t in prime_factors(n):
-        h = _psub(_ppow_x(p ** (n // t), f, p), x, p)
-        if len(_pgcd(h, f, p)) != 1:
-            return False
-    return True
+# the modulus search and matrices over F_p for the field build
 
 
 def smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
@@ -339,70 +252,93 @@ def smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
     deterministic across runs and implementations.  For n > 1 the search
     starts at constant term 1: x divides every candidate with c_0 = 0.
 
-    Up to TABLE_LIMIT candidates go in batches of doubling size.  One
-    product with a Vandermonde matrix drops those with a root in F_p, which
-    for n <= 3 leaves exactly the irreducibles; above degree 3 the rest pass
-    Rabin's test, with x^e mod f read off row 0 of the e-th power of the
-    companion matrix of f.  Larger fields test one candidate at a time with
-    is_irreducible, whose integers cannot overflow.
+    Candidates go in batches of doubling size through Rabin's test on their
+    companion matrices C, the matrices of multiplication by x mod f.  Row 0
+    of C^e holds the digits of x^e mod f, so f passes x^(p^n) = x when row 0
+    of C^(p^n) is the digits of x.  C^k - C multiplies by x^k - x, so it is
+    invertible, det(C^k - C) != 0 (mod p), exactly when
+    gcd(x^k - x, f) = 1; with k = p^(n/t) for every prime t | n that
+    excludes roots in every proper subfield (Rabin, "Probabilistic
+    algorithms in finite fields", SIAM J. Comput. 9, 1980).  The
+    determinants are taken in order on the survivors of the first test.
+
+    Where the (n + 1) x p Vandermonde table fits in one _BUILD_CHUNK block,
+    which holds for every field with tables, one product with it first
+    drops the candidates with a root in F_p: for n <= 3 that leaves exactly
+    the irreducibles, and for prime n it is the test with t = n.  Above
+    that, Rabin's test alone decides.  The matrices are int64 where
+    _matrix_powers is exact, n * (p - 1)^2 < 2^63, and hold Python ints
+    above that, so the search is the same for every field below 2^63.
     """
     if n == 1:
         return (0, 1)
-    if p**n > TABLE_LIMIT:
-        for tail in itertools.product(range(1, p), *[range(p)] * (n - 1)):
-            if is_irreducible([*tail, 1], p):
-                return (*tail, 1)
-        raise FFBinomError(f"no irreducible of degree {n} over F_{p}")  # unreachable
-    vand = np.empty((n + 1, p), dtype=np.int64)  # vand[j, a] = a^j mod p
-    vand[0] = 1
-    for j in range(1, n + 1):
-        vand[j] = vand[j - 1] * np.arange(p) % p
+    vand = None
+    if (n + 1) * p <= _BUILD_CHUNK:
+        vand = np.empty((n + 1, p), dtype=np.int64)  # vand[j, a] = a^j mod p
+        vand[0] = 1
+        for j in range(1, n + 1):
+            vand[j] = vand[j - 1] * np.arange(p) % p
+    dtype = np.int64 if n * (p - 1) ** 2 < _MAX_ORDER else object
     place = p ** np.arange(n - 1, -1, -1, dtype=np.int64)  # c_0 is the leading digit of the order
-    exps = [p**n] + [p ** (n // t) for t in prime_factors(n)]
+    # after the root filter t = n adds nothing: gcd(x^p - x, f) = 1 says
+    # that f has no root in F_p
+    exps = [p**n] + [p ** (n // t) for t in prime_factors(n) if t < n or vand is None]
     x_row = np.eye(n, dtype=np.int64)[1]  # the digits of x
     total = (p - 1) * p ** (n - 1)
     start, size = 0, 16
     while start < total:
         cands = np.arange(start, min(total, start + size), dtype=np.int64)[:, None] // place % p
         cands[:, 0] += 1
-        cands = cands[((cands @ vand[:n] + vand[n]) % p != 0).all(axis=1)]
-        if n <= 3 and len(cands):
-            return (*cands[0].tolist(), 1)
-        if len(cands):
-            companion = np.zeros((len(cands), n, n), dtype=np.int64)  # row j: x^(j+1) mod f
-            companion[:, np.arange(n - 1), np.arange(1, n)] = 1
-            companion[:, n - 1] = -cands % p
-            powers = _matrix_powers(companion, exps, p)[:, :, 0]
-            for i in np.flatnonzero((powers[0] == x_row).all(axis=1)):
-                f = [*cands[i].tolist(), 1]
-                if all(len(_pgcd(_ptrim(((row[i] - x_row) % p).tolist()), f, p)) == 1 for row in powers[1:]):
-                    return tuple(f)
+        if vand is not None:
+            cands = cands[((cands @ vand[:n] + vand[n]) % p != 0).all(axis=1)]
+            if n <= 3 and len(cands):
+                return (*cands[0].tolist(), 1)
+        companion = np.zeros((len(cands), n, n), dtype=dtype)  # row j: x^(j+1) mod f
+        companion[:, np.arange(n - 1), np.arange(1, n)] = 1
+        companion[:, n - 1] = -cands % p
+        powers = _matrix_powers(companion, exps, p)
+        for i in np.flatnonzero((powers[0, :, 0] == x_row).all(axis=1)):
+            if all(_nonsingular(((power[i] - companion[i]) % p).tolist(), p) for power in powers[1:]):
+                return (*cands[i].tolist(), 1)
         start += size
         size *= 2
     raise FFBinomError(f"no irreducible of degree {n} over F_{p}")  # unreachable
 
 
-# ---------------------------------------------------------------------------
-# matrices over F_p for the field build
-
-
 def _matrix_powers(base: np.ndarray, exps: Sequence[int], p: int) -> np.ndarray:
-    """base^e mod p for every e in exps, stacked along a new first axis.
+    """base^e mod p for every e >= 1 in exps, stacked along a new first axis.
 
-    base is a stack of square int64 matrices with entries in [0, p); the
-    exponents share one chain of squarings.  Products stay exact while
-    n * (p - 1)^2 < 2^63, which holds for every field up to TABLE_LIMIT.
+    base is a stack of square matrices with entries in [0, p); the
+    exponents share one chain of squarings, and each keeps one running
+    product, which starts at its lowest squaring, not at the identity.
+    int64 products stay exact while n * (p - 1)^2 < 2^63, which holds for
+    every field up to TABLE_LIMIT; past that base holds Python ints (object
+    dtype), and so do the powers.
     """
-    eye = np.eye(base.shape[-1], dtype=np.int64)
-    powers = np.broadcast_to(eye, (len(exps), *base.shape)).copy()
+    powers: list = [None] * len(exps)
     square = base
     for bit in range(max(exps).bit_length()):
         if bit:
             square = square @ square % p
-        sel = [i for i, e in enumerate(exps) if e >> bit & 1]
-        if sel:
-            powers[sel] = powers[sel] @ square % p
-    return powers
+        for i, e in enumerate(exps):
+            if e >> bit & 1:
+                powers[i] = square if powers[i] is None else powers[i] @ square % p
+    return np.stack(powers)
+
+
+def _nonsingular(rows: list[list[int]], p: int) -> bool:
+    """Whether det(M) != 0 (mod p) for a square matrix M over F_p, given as
+    a list of rows of Python ints in [0, p): Gaussian elimination, one
+    column and one pivot row off the matrix per step."""
+    while rows:
+        k = next((i for i, row in enumerate(rows) if row[0]), None)
+        if k is None:
+            return False
+        head, *tail = rows.pop(k)
+        inv = pow(head, -1, p)
+        tail = [y * inv % p for y in tail]
+        rows = [[(x - c * y) % p for x, y in zip(row, tail)] if c else row for c, *row in rows]
+    return True
 
 
 def _digit_table(p: int, n: int, dtype=np.int64) -> np.ndarray:

@@ -6,15 +6,21 @@ the field's modulus, and square-and-multiply), through FieldSpec's scalar
 methods one element at a time (sij_classify, naive_dij_counts,
 naive_d00_condition, chi_sum) or, in bulk, through the base-p digits of the
 encodings, and the prime field variants below use nothing but Python
-integers.  pair_key_beta_count and pair_key_bijkl_counts are the
-exceptions: they run on the library's value table, class codes and bulk
-arithmetic, with the boomerang count that the library replaced by its
-(D, F) keys; so is table_lambda_sum, the table sum that the library
-replaced by the Frobenius recurrence.
+integers.  The polynomial helpers below, on lists of coefficients, are the
+project's only polynomial arithmetic, since gf has none: raw_mul multiplies
+with them, and naive_is_irreducible, Rabin's test by polynomial powers and
+gcds, is the reference for gf's companion-matrix modulus search.
+pair_key_beta_count and pair_key_bijkl_counts are the exceptions: they run
+on the library's value table, class codes and bulk arithmetic, with the
+boomerang count that the library replaced by its (D, F) keys; so is
+table_lambda_sum, the table sum that the library replaced by the Frobenius
+recurrence.
 """
 
+import itertools
 from collections import Counter
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +28,119 @@ from ffbinom.boom import BijklCounts
 from ffbinom.diff import CollisionReport, DijCounts
 from ffbinom.errors import FFBinomError
 from ffbinom.family import BinomialSpec, eval_table, evaluate
-from ffbinom.gf import FieldSpec, _pmulmod
+from ffbinom.gf import FieldSpec, prime_factors
+
+# -- polynomials over F_p as trimmed low-to-high coefficient lists ----------
+
+
+def _ptrim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _pmul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return _ptrim(out)
+
+
+def _pmod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
+    # m monic
+    a = list(a)
+    dm = len(m) - 1
+    for i in range(len(a) - 1, dm - 1, -1):
+        c = a[i]
+        if c:
+            a[i] = 0
+            for j in range(dm):
+                a[i - dm + j] = (a[i - dm + j] - c * m[j]) % p
+    return _ptrim(a)
+
+
+def _pmulmod(a: Sequence[int], b: Sequence[int], m: Sequence[int], p: int) -> list[int]:
+    return _pmod(_pmul(a, b, p), m, p)
+
+
+def _ppow_x(e: int, m: Sequence[int], p: int) -> list[int]:
+    """x^e mod m by square-and-multiply."""
+    result = [1]
+    base = _pmod([0, 1], m, p)
+    while e:
+        if e & 1:
+            result = _pmulmod(result, base, m, p)
+        base = _pmulmod(base, base, m, p)
+        e >>= 1
+    return result
+
+
+def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    a, b = list(a), list(b)
+    while b:
+        inv_lead = pow(b[-1], p - 2, p)
+        bm = [c * inv_lead % p for c in b]
+        a, b = b, _pmod(a, bm, p)
+    if a:
+        inv_lead = pow(a[-1], p - 2, p)
+        a = [c * inv_lead % p for c in a]
+    return a
+
+
+def _psub(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    out = [0] * max(len(a), len(b))
+    for i, ai in enumerate(a):
+        out[i] = ai
+    for i, bi in enumerate(b):
+        out[i] = (out[i] - bi) % p
+    return _ptrim(out)
+
+
+def naive_is_irreducible(coeffs: Sequence[int], p: int) -> bool:
+    """Irreducibility of a monic polynomial over F_p.
+
+    Tests x^(p^n) == x mod f together with gcd(x^(p^(n/t)) - x, f) = 1 for
+    every prime t dividing n, which excludes roots in every proper subfield.
+    """
+    f = list(coeffs)
+    n = len(f) - 1
+    if n < 1 or f[-1] != 1:
+        return False
+    if n == 1:
+        return True
+    x = [0, 1]
+    if _ppow_x(p**n, f, p) != x:
+        return False
+    for t in prime_factors(n):
+        h = _psub(_ppow_x(p ** (n // t), f, p), x, p)
+        if len(_pgcd(h, f, p)) != 1:
+            return False
+    return True
+
+
+def naive_smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
+    """The first monic f of degree n, in low-degree-first lexicographic
+    order from constant term 1 (x itself for n = 1), that passes
+    naive_is_irreducible: the reference for gf.smallest_irreducible.  The
+    k-th candidate is decoded from k in base p, one at a time, so no
+    range(p) is materialized."""
+    if n == 1:
+        return (0, 1)
+    for k in itertools.count():
+        tail = []
+        for _ in range(n - 1):
+            k, c = divmod(k, p)
+            tail.append(c)
+        f = [1 + k, *reversed(tail), 1]
+        if naive_is_irreducible(f, p):
+            return tuple(f)
+
+
+# -- field arithmetic -------------------------------------------------------
 
 
 def raw_mul(field: FieldSpec, a: int, b: int) -> int:
@@ -107,6 +225,18 @@ def naive_delta_row(field: FieldSpec, spec: BinomialSpec) -> Counter:
     for x in field.elements():
         row[field.sub(fv[field.add(x, 1)], fv[x])] += 1
     return row
+
+
+def naive_uniformity(field: FieldSpec, spec: BinomialSpec) -> int:
+    """The largest #{x : F(x+a) - F(x) = b} over every a != 0 and every b,
+    one scalar field.add and field.sub per (a, x); the reference for
+    DiffSpectrum.uniformity."""
+    fv = naive_values(field, spec)
+    best = 0
+    for a in range(1, field.q):
+        row = Counter(field.sub(fv[field.add(x, a)], fv[x]) for x in field.elements())
+        best = max(best, max(row.values()))
+    return best
 
 
 def naive_shift_difference(field: FieldSpec, values, a: int) -> list[int]:

@@ -335,6 +335,15 @@ def test_field_without_tables_keeps_info_and_families(capsys, argv, modulus, fam
     assert [(row["name"], row["k"], row["r"], row["gcd"]) for row in json.loads(out)] == families
 
 
+@pytest.mark.parametrize("p,modulus", [(2147483647, [1, 0, 1]), (3037000493, [1, 1, 1])])
+def test_field_info_prime_square_near_2_63(capsys, p, modulus):
+    # the modulus search is the same batched test here as below 2^24: it
+    # ended in a MemoryError when it enumerated range(p) as a tuple
+    code, out = run_cli(capsys, "field", "info", "--p", str(p), "--n", "2")
+    assert code == 0
+    assert json.loads(out) == {"generator": None, "modulus": modulus, "n": 2, "p": p, "q": p * p}
+
+
 def test_u_outside_field_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["spectrum", "diff", "--p", "11", "--n", "1", "--r", "3", "--u", "11"])

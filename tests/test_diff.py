@@ -21,7 +21,7 @@ from ffbinom.errors import FFBinomError, InvariantError, UnsupportedUError, Zero
 from ffbinom.family import BinomialSpec, eval_table, table1_exponents
 from ffbinom.gf import make_field
 
-from naive_oracles import naive_delta_row, pow_slow, prime_delta_row, prime_spectrum
+from naive_oracles import naive_delta_row, naive_uniformity, pow_slow, prime_delta_row, prime_spectrum
 
 
 def test_delta_row_f11_cube():
@@ -334,7 +334,9 @@ def test_locally_apn_strict_vs_star():
 @pytest.mark.parametrize("p,n", [(11, 1), (13, 1), (3, 3), (5, 2), (7, 2)])
 def test_row_report_matches_naive_row(p, n):
     # every field of the a = 1 row summary against the brute-force row, with
-    # the prime subfield found as the fixed points of x -> x^p
+    # the prime subfield found as the fixed points of x -> x^p; the
+    # uniformity against the brute force over every a, which the a = 1 row
+    # reaches when q = 3 (mod 4)
     f = make_field(p, n)
     subfield = {b for b in f.elements() if pow_slow(f, b, p) == b}
     flags = set()
@@ -345,7 +347,8 @@ def test_row_report_matches_naive_row(p, n):
             row = [naive[b] for b in f.elements()]
             spectrum, report = row_report(f, spec)
             assert spectrum.omega == dict(Counter(row))
-            assert spectrum.uniformity == max(row)
+            assert spectrum.uniformity == naive_uniformity(f, spec)
+            assert f.q % 4 == 1 or spectrum.uniformity == max(row)
             assert report.delta10 == row[0]
             assert report.delta_max == max(row[1:])
             assert report.star == (report.delta_max <= 2)
@@ -356,6 +359,29 @@ def test_row_report_matches_naive_row(p, n):
     # leave the prime subfield
     assert {(True, True), (True, False)} <= flags
     assert ((False, False) in flags) == (n > 1)
+
+
+@pytest.mark.parametrize("p,n,specs", [
+    (11, 1, [(3, 1), (2, 1), (5, 0)]),
+    (13, 1, [(2, 1), (3, 12), (5, 0)]),
+    (3, 3, [(2, 1), (14, 1), (4, 0)]),
+    (5, 2, [(3, 1), (2, 4), (13, 0)]),
+    (7, 2, [(4, 6), (3, 1), (25, 0)]),
+])
+def test_uniformity_two_rows_cover_every_shift(p, n, specs):
+    # delta(s a, b) = delta(a, b / s^r) for a square s, so the rows a = 1 and
+    # a = g hold every row's maximum: the uniformity against delta_ab over
+    # every a and b.  On q = 1 (mod 4) the a = g row can be higher (F_13,
+    # r = 2, u = 1: 3 -> 5; F_{5^2}, r = 3: 6 -> 9; F_{7^2}, r = 4, u = 6:
+    # 13 -> 15)
+    f = make_field(p, n)
+    higher = {(13, 1, 2, 1): 5, (5, 2, 3, 1): 9, (7, 2, 4, 6): 15}
+    for r, u in specs:
+        spec = BinomialSpec(r, u)
+        every_a = max(delta_ab(f, spec, a, b) for a in range(1, f.q) for b in f.elements())
+        assert diff_spectrum(f, spec).uniformity == every_a
+        if (p, n, r, u) in higher:
+            assert every_a == higher[p, n, r, u] > int(delta_row(f, spec).max())
 
 
 @pytest.mark.parametrize("p,n", [(3, 2), (5, 3)])

@@ -16,7 +16,9 @@ from naive_oracles import (
     digit_sub,
     naive_chi,
     naive_eval,
+    naive_is_irreducible,
     naive_shift_difference,
+    naive_smallest_irreducible,
     pairwise_diff_hist,
     pow_slow,
     raw_mul,
@@ -132,11 +134,27 @@ def test_modulus_is_lex_smallest():
 @pytest.mark.parametrize("p,n", [(3, 9), (3, 10), (3, 12), (3, 15), (5, 6), (5, 10), (7, 6), (7, 8),
                                  (11, 6), (31, 4), (61, 4), (4093, 2), (251, 3)])
 def test_batched_modulus_search_matches_rabin_per_candidate(p, n):
-    # the companion-matrix search against is_irreducible, one candidate at a
-    # time in the same order, on degrees with one, two and three prime factors
-    expected = next((*tail, 1) for tail in itertools.product(range(1, p), *[range(p)] * (n - 1))
-                    if gf.is_irreducible([*tail, 1], p))
-    assert gf.smallest_irreducible(p, n) == expected
+    # the companion-matrix search against the oracles' Rabin test by
+    # polynomial arithmetic, one candidate at a time in the same order, on
+    # degrees with one, two and three prime factors
+    assert gf.smallest_irreducible(p, n) == naive_smallest_irreducible(p, n)
+
+
+@pytest.mark.parametrize("p,n", [(3, 17), (5, 11), (65537, 2), (1000003, 3), (10000019, 2),
+                                 (2147483647, 2), (3037000493, 2)])
+def test_moduli_above_table_limit_match_oracle(p, n):
+    # above 2^24 the search is the same batched test, with no root filter
+    # where the Vandermonde table passes one block; at 3037000493 the
+    # matrices hold Python ints, since an int64 product could overflow
+    modulus = FieldSpec(p, n).modulus
+    assert p**n > gf.TABLE_LIMIT
+    assert modulus == gf.smallest_irreducible(p, n) == naive_smallest_irreducible(p, n)
+    assert naive_is_irreducible(modulus, p)
+    if p % 4 == 3 and n == 2:
+        # -1 is a non-square, so x^2 + 1 is the first candidate and irreducible
+        assert modulus == (1, 0, 1)
+    if p == 3037000493:
+        assert n * (p - 1) ** 2 >= 2**63
 
 
 @pytest.mark.parametrize("p,n", [(11, 1), (257, 1), (1019, 1), (100003, 1),
@@ -204,16 +222,17 @@ def test_log_products_past_int32(p, n):
     assert diffs.tolist() == [f.sub(a, b) for a, b in pairs]
 
 
-def test_table_build_uses_no_polynomial_arithmetic(monkeypatch):
-    # the build and the lazy tables are numpy passes: polynomial products mod
-    # the modulus are left to is_irreducible and to the test oracles
-    def refuse(*args):
-        raise AssertionError("polynomial arithmetic used by the table build")
-
-    monkeypatch.setattr(gf, "_pmulmod", refuse)
+def test_table_build_uses_no_polynomial_arithmetic():
+    # the build and the lazy tables are numpy passes, and the modulus search
+    # powers and eliminates matrices: gf defines no polynomial helper
+    # (test_source checks its source), and polynomial products mod the
+    # modulus are left to the test oracles, whose Rabin test each modulus
+    # passes
     for p, n in [(1019, 1), (3, 5), (13, 3), (7, 5)]:
         f = FieldSpec(p, n)
         f.succ_table, f.sij_table, f._zech
+        assert f.n == 1 or naive_is_irreducible(f.modulus, p)
+        assert sorted(f._exp.tolist()) == list(range(1, f.q))
 
 
 def test_scalar_methods_reject_non_elements():

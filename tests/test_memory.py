@@ -8,6 +8,8 @@ Each call runs once before it is traced, to build the lazy tables it reads,
 and must give the same result under the trace.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -153,3 +155,18 @@ def test_run_diff_hist_one_histogram(peak_arrays, monkeypatch, p, n):
     same[::3] = True
     same[-1] = False
     _check_peak(peak_arrays, q, lambda: f.run_diff_hist(values, same), 2.3)
+
+
+def test_modulus_search_above_table_limit_forms_no_long_array():
+    # F_{10000019^2}: the batched companion-matrix test on 16 candidates,
+    # where enumerating the candidates of itertools.product made range(p)
+    # into a tuple (795 MB of RSS)
+    gf.smallest_irreducible(10000019, 2)
+    tracemalloc.start()
+    try:
+        modulus = gf.smallest_irreducible(10000019, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert modulus == (1, 0, 1)
+    assert peak < 1 << 20, f"traced peak {peak} bytes"

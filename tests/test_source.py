@@ -63,10 +63,9 @@ def _name_of(node):
 
 
 def test_block_rule_and_pair_kernels_live_in_gf_only():
-    # gf's encoding, block rule and polynomial arithmetic stay in gf: other
-    # modules take the shift row, the pair-difference histograms and the
-    # bulk operations from FieldSpec's methods, and family imports only
-    # public names from gf
+    # gf's encoding and block rule stay in gf: other modules take the shift
+    # row, the pair-difference histograms and the bulk operations from
+    # FieldSpec's methods, and family imports only public names from gf
     private = {
         "_BUILD_CHUNK",
         "_PAIR_CHUNK",
@@ -76,14 +75,6 @@ def test_block_rule_and_pair_kernels_live_in_gf_only():
         "_add_q_where_negative",
         "_zech_sum",
         "_zech_block",
-        # the polynomial helpers serve the modulus and generator search
-        "_pgcd",
-        "_pmul",
-        "_ptrim",
-        "_pmod",
-        "_pmulmod",
-        "_psub",
-        "_ppow_x",
     }
     sources = sorted(Path(ffbinom.__file__).parent.rglob("*.py"))
     assert any(path.name == "gf.py" for path in sources)
@@ -104,6 +95,33 @@ def test_block_rule_and_pair_kernels_live_in_gf_only():
         if node.module == "gf" or alias.name == "gf"
     ]
     assert from_gf and all(not name.startswith("_") and name != "gf" for name in from_gf), from_gf
+
+
+def test_modulus_search_does_no_polynomial_arithmetic():
+    # smallest_irreducible is Rabin's test on companion matrices for every p
+    # and n: no module of the library defines or reads the polynomial
+    # helpers or is_irreducible, which live in the test oracles, and gf
+    # imports no itertools, whose product enumerated the candidates above
+    # 2^24 by materializing range(p)
+    retired = {"_ptrim", "_pmul", "_pmod", "_pmulmod", "_ppow_x", "_pgcd", "_psub", "is_irreducible"}
+    sources = sorted(Path(ffbinom.__file__).parent.rglob("*.py"))
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sources}
+    assert "gf.py" in trees
+    found = [
+        f"{path}:{node.lineno} {name}"
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        for name in [node.name if isinstance(node, ast.FunctionDef) else _name_of(node)]
+        if name in retired
+    ]
+    assert not found, f"polynomial helpers in the library: {found}"
+    imported = [
+        alias.name
+        for node in ast.walk(trees["gf.py"])
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ] + [node.module for node in ast.walk(trees["gf.py"]) if isinstance(node, ast.ImportFrom)]
+    assert "itertools" not in imported, imported
 
 
 def test_delta_rows_are_summarized_in_diff_only():
